@@ -1,9 +1,4 @@
-"""Prime-sieve kernels: numba-jitted loops with a pure-numpy fallback.
-
-The active path is chosen at import from the environment variable
-SERP_NUMBA ("0" selects the numpy fallback; anything else, or unset,
-uses numba when it is importable).  Both implementations stay
-importable so benchmarks/bench_kernels.py can time them side by side.
+"""Prime-sieve kernels in numpy.
 
 Full boolean masks are used up to _FULL_MASK_LIMIT; above that,
 class_primes switches to a segmented sieve that walks the residue class
@@ -13,20 +8,9 @@ scan limit.
 
 from __future__ import annotations
 
-import os
 from math import isqrt
 
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("SERP_NUMBA", "1") != "0"
 
 SEGMENT = 1 << 20
 _FULL_MASK_LIMIT = 10**6
@@ -34,59 +18,7 @@ _FULL_MASK_LIMIT = 10**6
 _mask_cache: dict[int, np.ndarray] = {}
 
 
-def prime_mask_numpy(limit: int) -> np.ndarray:
-    """Boolean primality mask over [0, limit], pure numpy slicing."""
-    mask = np.ones(limit + 1, dtype=np.bool_)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _prime_mask_numba(limit):  # pragma: no cover - thin jitted twin
-        mask = np.ones(limit + 1, dtype=np.bool_)
-        mask[0] = False
-        mask[1] = False
-        p = 2
-        while p * p <= limit:
-            if mask[p]:
-                for q in range(p * p, limit + 1, p):
-                    mask[q] = False
-            p += 1
-        return mask
-
-    @numba.njit(cache=True)
-    def _class_primes_segmented_numba(residue, modulus, limit, base, segment):
-        out = np.empty(limit // modulus + 2, np.int64)
-        n = 0
-        seg = np.empty(segment, np.bool_)
-        lo = 2
-        while lo <= limit:
-            hi = min(lo + segment, limit + 1)
-            for i in range(hi - lo):
-                seg[i] = True
-            for bi in range(base.size):
-                p = base[bi]
-                start = p * p
-                if start < lo:
-                    start = ((lo + p - 1) // p) * p
-                for q in range(start, hi, p):
-                    seg[q - lo] = False
-            rem = (lo - residue) % modulus
-            first = lo if rem == 0 else lo + (modulus - rem)
-            for q in range(first, hi, modulus):
-                if seg[q - lo]:
-                    out[n] = q
-                    n += 1
-            lo = hi
-        return out[:n]
-
-
-def _class_primes_segmented_numpy(
+def _class_primes_segmented(
     residue: int, modulus: int, limit: int, base: np.ndarray, segment: int
 ) -> np.ndarray:
     chunks = []
@@ -116,10 +48,11 @@ def prime_mask(limit: int) -> np.ndarray:
     cached = _mask_cache.get(limit)
     if cached is not None:
         return cached
-    if USE_NUMBA:
-        mask = _prime_mask_numba(limit)
-    else:
-        mask = prime_mask_numpy(limit)
+    mask = np.ones(limit + 1, dtype=np.bool_)
+    mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
     mask.setflags(write=False)
     if len(_mask_cache) > 8:
         _mask_cache.clear()
@@ -145,6 +78,4 @@ def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:
         members = np.arange(first, limit + 1, modulus, dtype=np.int64)
         return members[mask[members]]
     base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
-    if USE_NUMBA:
-        return _class_primes_segmented_numba(residue, modulus, limit, base, SEGMENT)
-    return _class_primes_segmented_numpy(residue, modulus, limit, base, SEGMENT)
+    return _class_primes_segmented(residue, modulus, limit, base, SEGMENT)

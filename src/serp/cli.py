@@ -24,11 +24,9 @@ from .ed2 import default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError
 from .explicit import decompose_explicit, repair_distinct
 from .sieve import (
-    admissible_moduli,
     average_local_params,
-    build_progression_class,
+    class_scans,
     reconstruct_from_class,
-    scan_class_primes,
     write_scan_csv,
     CSV_FIELDS,
 )
@@ -218,22 +216,22 @@ def cmd_scan(args, out) -> int:
 
 def cmd_sieve(args, out) -> int:
     rows = []
-    for r in admissible_moduli(args.rmax, args.delta):
-        cls = build_progression_class(args.delta, r)
-        primes = scan_class_primes(cls, args.xmax)
-        first = primes[0] if primes else None
+    primes, scans = class_scans(args.xmax, args.rmax, args.delta)
+    for cls, hits in scans:
+        members = primes[hits]
+        first = int(members[0]) if members.size else None
         row = {
             "delta": args.delta,
-            "r": r,
+            "r": cls.r,
             "modulus": cls.modulus,
             "residue": cls.residue,
-            "primes_found": len(primes),
+            "primes_found": int(members.size),
             "first_prime": first,
-            "exceptional": not primes,
+            "exceptional": first is None,
         }
         if first is not None:
             try:
-                row["first_solution"] = reconstruct_from_class(first, args.delta, r).as_dict()
+                row["first_solution"] = reconstruct_from_class(first, args.delta, cls.r).as_dict()
             except DeltaFilterFailed:
                 row["first_solution"] = None
         else:
@@ -332,6 +330,13 @@ def cmd_table(args, out) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="serp",
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sieve", help="scan progression classes for primes")
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--delta", type=_positive_int, required=True)
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--xmax", type=int, required=True)
     add_format(p)
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="density statistics N(P; R, delta)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--delta", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_stats)
 
@@ -406,9 +411,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         return args.func(args, stream)
     except InvariantViolation as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return _INVARIANT_EXIT
-    except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return _INVARIANT_EXIT
     except (SerpError, ValueError, KeyError) as exc:

@@ -75,7 +75,8 @@ def ed1_candidates(P: int, gamma_max: int) -> list[tuple[int, int]]:
     out = []
     for gamma in range(4, gamma_max + 1, 5):
         c, rem = divmod(gamma * P + 1, 5)
-        assert rem == 0 and gcd(gamma, c) == 1
+        if rem or gcd(gamma, c) != 1:
+            raise KernelViolation(f"gamma = {gamma} gives no coprime c = (gamma*P + 1)/5")
         out.append((gamma, c))
     return out
 

@@ -14,7 +14,6 @@ m = 5A - P.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -202,7 +201,3 @@ def ed2_witness_row(w: Ed2Witness) -> dict:
         "m": n.m,
         "canonical": n.canonical,
     }
-
-
-def ed2_witness_json(w: Ed2Witness) -> str:
-    return json.dumps(ed2_witness_row(w), sort_keys=True, separators=(",", ":"))

@@ -9,7 +9,6 @@ rational arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .arith import is_prime
@@ -69,7 +68,3 @@ def write_jsonl(enum: OracleEnumeration, fileobj) -> None:
     for sol in enum.solutions:
         fileobj.write(sol.as_json())
         fileobj.write("\n")
-
-
-def read_jsonl(fileobj) -> list[dict]:
-    return [json.loads(line) for line in fileobj if line.strip()]

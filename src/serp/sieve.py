@@ -13,7 +13,9 @@ whenever delta | b*c (always, for delta = 1).
 The statistics side counts N(P; R, delta) = #{r <= R admissible with
 r | 5*P*delta + 1} per prime, its exact average over primes P <= x with
 P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
-class contains no prime <= x.
+class contains no prime <= x.  Every class is a subset of the primes
+P = 1 (mod 5), so class_scans sieves [2, x] once and hands each class
+its members; N(P; R, delta) is the number of classes that contain P.
 """
 
 from __future__ import annotations
@@ -26,12 +28,10 @@ from math import gcd
 
 import numpy as np
 
-from ._kernels import class_primes, prime_mask
+from ._kernels import class_primes
 from .arith import euler_phi, mod_inverse, crt_combine
-from .errors import BadResidue, DeltaFilterFailed, NotCoprime
+from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime
 from .solution import Solution, SolutionClass, make_solution
-
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,22 @@ def write_scan_csv(rows: list[dict], fileobj) -> None:
         writer.writerow(row)
 
 
+def _check_delta(delta: int) -> None:
+    # A = b*c/delta must be positive, so delta <= 0 has no solutions and
+    # its classes and counts would be meaningless.
+    if delta < 1:
+        raise ValueError(f"delta must be >= 1, got {delta}")
+
+
 def admissible_moduli(R: int, delta: int) -> list[int]:
     """All r <= R with r = 4 (mod 5) and gcd(r, 5*delta) = 1, ascending."""
+    _check_delta(delta)
     return [r for r in range(4, R + 1, 5) if gcd(r, 5 * delta) == 1]
 
 
 def build_progression_class(delta: int, r: int) -> ProgressionClass:
     """CRT class {P = 1 (mod 5), P = -(5*delta)^(-1) (mod r)} of modulus 5r."""
+    _check_delta(delta)
     if r % 5 != 4:
         raise BadResidue(f"r = {r} is not 4 (mod 5)")
     if gcd(r, 5 * delta) != 1:
@@ -162,7 +171,10 @@ def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:
         )
     N = 5 * P * delta + 1
     s, rem = divmod(N, r)
-    assert rem == 0 and s % 5 == 4
+    if rem or s % 5 != 4:
+        raise InvariantViolation(
+            f"5*P*delta + 1 = {N} is not r*s with s = 4 (mod 5) for r = {r}"
+        )
     b, c = (r + 1) // 5, (s + 1) // 5
     if (b * c) % delta:
         raise DeltaFilterFailed(f"delta = {delta} does not divide b*c = {b * c}")
@@ -184,19 +196,18 @@ def li_estimate(x: int) -> float:
     return float(np.sum(1.0 / np.log(np.arange(2, x + 1, dtype=np.float64))))
 
 
-def _scan_class(delta: int, r: int, x: int, li_x: float) -> ClassScan:
-    cls = build_progression_class(delta, r)
-    primes = class_primes(cls.residue, cls.modulus, x)
-    first = int(primes[0]) if primes.size else None
-    return ClassScan(
-        delta=delta,
-        r=r,
-        modulus=cls.modulus,
-        residue=cls.residue,
-        primes_found=int(primes.size),
-        first_prime=first,
-        expected_li=li_x / euler_phi(cls.modulus),
-    )
+def class_scans(
+    x: int, R: int, delta: int
+) -> tuple[np.ndarray, list[tuple[ProgressionClass, np.ndarray]]]:
+    """One sieve pass for every admissible class r <= R.
+
+    Returns the primes P <= x with P = 1 (mod 5), ascending, and for
+    each admissible r its class with a boolean mask over those primes
+    marking the class members.
+    """
+    primes = class_primes(1, 5, x)
+    classes = [build_progression_class(delta, r) for r in admissible_moduli(R, delta)]
+    return primes, [(cls, primes % cls.modulus == cls.residue) for cls in classes]
 
 
 def average_local_params(x: int, R: int, delta: int) -> ScanReport:
@@ -204,35 +215,37 @@ def average_local_params(x: int, R: int, delta: int) -> ScanReport:
     with the per-class scans, per-prime counts, phi-harmonic sum and
     exceptional moduli.  A zero-prime range is flagged by average=None.
     """
-    moduli = admissible_moduli(R, delta)
-    mask = prime_mask(max(x, 2))
-    primes1 = np.flatnonzero(mask)
-    primes1 = primes1[primes1 % 5 == 1]
-    primes1 = primes1[primes1 <= x]
-
-    if primes1.size and 5 * delta * x + 1 <= _INT64_MAX:
-        nvals = 5 * delta * primes1.astype(np.int64) + 1
-        totals = np.zeros(primes1.size, dtype=np.int64)
-        for r in moduli:
-            totals += nvals % r == 0
-        n_of_p = {int(p): int(n) for p, n in zip(primes1, totals)}
-    else:  # arbitrary-precision fallback for out-of-int64 ranges
-        n_of_p = {int(p): count_local_params(int(p), R, delta) for p in primes1}
-
+    primes, scans = class_scans(x, R, delta)
+    totals = np.zeros(primes.size, dtype=np.int64)
     li_x = li_estimate(x)
-    classes = tuple(_scan_class(delta, r, x, li_x) for r in moduli)
+    classes = []
+    phi_sum = Fraction(0)
+    for cls, hits in scans:
+        totals += hits
+        members = primes[hits]
+        phi = euler_phi(cls.modulus)
+        phi_sum += Fraction(1, phi)
+        classes.append(
+            ClassScan(
+                delta=delta,
+                r=cls.r,
+                modulus=cls.modulus,
+                residue=cls.residue,
+                primes_found=int(members.size),
+                first_prime=int(members[0]) if members.size else None,
+                expected_li=li_x / phi,
+            )
+        )
+    n_of_p = dict(zip(primes.tolist(), totals.tolist()))
     total = sum(n_of_p.values())
     average = Fraction(total, len(n_of_p)) if n_of_p else None
-    phi_sum = sum(
-        (Fraction(1, euler_phi(5 * r)) for r in moduli), start=Fraction(0)
-    )
     exceptional = tuple(c.r for c in classes if c.primes_found == 0)
     return ScanReport(
         x=x,
         R=R,
         delta=delta,
-        prime_count=int(primes1.size),
-        classes=classes,
+        prime_count=int(primes.size),
+        classes=tuple(classes),
         n_of_p=n_of_p,
         average=average,
         phi_sum=phi_sum,
@@ -242,12 +255,8 @@ def average_local_params(x: int, R: int, delta: int) -> ScanReport:
 
 def exceptional_set(x: int, R: int, delta: int) -> list[int]:
     """Admissible r <= R whose progression class has no prime <= x."""
-    out = []
-    for r in admissible_moduli(R, delta):
-        cls = build_progression_class(delta, r)
-        if class_primes(cls.residue, cls.modulus, x).size == 0:
-            out.append(r)
-    return out
+    _, scans = class_scans(x, R, delta)
+    return [cls.r for cls, hits in scans if not hits.any()]
 
 
 def fit_growth_constant(

@@ -24,6 +24,7 @@ from math import gcd
 from .arith import squarefree_split
 from .bridge import convolve_ed2_to_ed1
 from .ed2 import Ed2Witness
+from .errors import InvariantViolation
 from .solution import verify_solution
 
 ROW_COLUMNS = (
@@ -163,7 +164,8 @@ def row_from_bc(P: int, b: int, c: int) -> dict | None:
     row = _full(
         alpha, b // g, c // g, g, b, c, delta, r, s, N, A, b * P, c * P, dprime
     )
-    assert verify_solution(P, A, b * P, c * P)
+    if not verify_solution(P, A, b * P, c * P):
+        raise InvariantViolation(f"row from (b, c) = ({b}, {c}) does not verify for P = {P}")
     return row
 
 

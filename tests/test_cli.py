@@ -189,6 +189,21 @@ class TestStats:
         assert out.splitlines()[1] == "1,4,20,11,3,11,False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stats", "--x", "100", "--rmax", "20", "--delta", "-1"),
+        ("stats", "--x", "100", "--rmax", "20", "--delta", "0"),
+        ("sieve", "--delta", "-1", "--rmax", "20", "--xmax", "100"),
+    ],
+)
+def test_nonpositive_delta_is_usage_error(argv, capsys):
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "--delta" in capsys.readouterr().err
+
+
 class TestTable:
     def test_check_73_all_match(self):
         code, out = run_cli("table", "73", "--check", "--format", "json")

@@ -1,28 +1,17 @@
-import subprocess
-import sys
 from math import isqrt
 
 import numpy as np
 import pytest
 
 from serp import _kernels
-from serp._kernels import class_primes, prime_mask, prime_mask_numpy
+from serp._kernels import class_primes, prime_mask
 
 
 def test_numpy_mask_matches_trial_division():
-    mask = prime_mask_numpy(2000)
+    mask = prime_mask(2000)
     for n in range(2001):
         expected = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
         assert bool(mask[n]) == expected
-
-
-def test_active_mask_matches_numpy_path():
-    assert np.array_equal(prime_mask(10**5), prime_mask_numpy(10**5))
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_mask_matches_numpy_path():
-    assert np.array_equal(_kernels._prime_mask_numba(10**5), prime_mask_numpy(10**5))
 
 
 def test_mask_is_cached_and_readonly():
@@ -45,44 +34,23 @@ class TestClassPrimes:
         assert class_primes(91, 95, 50).size == 0
 
     def test_segmented_paths_match_full_mask(self):
-        # exercise both segmented implementations against mask slicing
+        # small segments, so classes straddle many segment boundaries
         limit = 3 * 10**5
-        base = np.flatnonzero(prime_mask_numpy(isqrt(limit))).astype(np.int64)
-        mask = prime_mask_numpy(limit)
+        base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
+        mask = prime_mask(limit)
         for residue, modulus in [(11, 20), (1, 5), (16, 45), (91, 95)]:
             members = np.arange(residue if residue >= 2 else residue + modulus, limit + 1, modulus)
             expected = members[mask[members]].tolist()
-            got_np = _kernels._class_primes_segmented_numpy(
+            got = _kernels._class_primes_segmented(
                 residue, modulus, limit, base, segment=2**12
             ).tolist()
-            assert got_np == expected
-            if _kernels.HAVE_NUMBA:
-                got_nb = _kernels._class_primes_segmented_numba(
-                    residue, modulus, limit, base, 2**12
-                ).tolist()
-                assert got_nb == expected
+            assert got == expected
 
     def test_above_full_mask_threshold(self):
         # the public entry point switches to the segmented sieve here
         limit = _kernels._FULL_MASK_LIMIT + 10**5
         got = class_primes(11, 20, limit)
-        mask = prime_mask_numpy(limit)
+        mask = prime_mask(limit)
         members = np.arange(11, limit + 1, 20)
         assert np.array_equal(got, members[mask[members]])
 
-
-def test_env_flag_selects_numpy_fallback():
-    import os
-
-    code = (
-        "import serp._kernels as k; "
-        "assert not k.USE_NUMBA; "
-        "assert list(k.class_primes(11, 20, 100)) == [11, 31, 71]; "
-        "print('ok')"
-    )
-    env = dict(os.environ, SERP_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"

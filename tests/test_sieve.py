@@ -6,11 +6,13 @@ from math import gcd
 
 import pytest
 
+from serp._kernels import _FULL_MASK_LIMIT
 from serp.errors import BadResidue, DeltaFilterFailed, NotCoprime
 from serp.sieve import (
     admissible_moduli,
     average_local_params,
     build_progression_class,
+    class_scans,
     count_local_params,
     exceptional_set,
     li_estimate,
@@ -115,6 +117,13 @@ class TestCounts:
         assert admissible_moduli(20, 4) == [9, 19]
         assert admissible_moduli(3, 9) == []
 
+    @pytest.mark.parametrize("delta", [0, -1, -7])
+    def test_nonpositive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            admissible_moduli(20, delta)
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            build_progression_class(delta, 9)
+
 
 class TestAverageReport:
     def test_worked_average_x100(self):
@@ -160,6 +169,39 @@ class TestAverageReport:
         assert lines[0] == "delta,r,modulus,residue,primes_found,first_prime,exceptional"
         assert lines[1] == "1,4,20,11,3,11,False"
         assert lines[4] == "1,19,95,91,0,,True"
+
+
+class TestSharedPass:
+    """One sieve pass per (x, R, delta) against per-class scans and the
+    arbitrary-precision divisor count."""
+
+    @pytest.mark.parametrize(
+        "x,R,delta",
+        [
+            (1000, 64, 1),
+            (5000, 128, 7),
+            (_FULL_MASK_LIMIT + 50_000, 40, 3),  # segmented sieve path
+            (1000, 64, 2**61 - 1),  # 5*delta*x + 1 > 2**63: no int64 product
+        ],
+    )
+    def test_matches_per_class_scans_and_counts(self, x, R, delta):
+        report = average_local_params(x, R, delta)
+        assert [c.r for c in report.classes] == admissible_moduli(R, delta)
+        for c in report.classes:
+            members = scan_class_primes(build_progression_class(delta, c.r), x)
+            assert c.primes_found == len(members)
+            assert c.first_prime == (members[0] if members else None)
+        assert len(report.n_of_p) == report.prime_count
+        for P, n in report.n_of_p.items():
+            assert n == count_local_params(P, R, delta)
+        assert exceptional_set(x, R, delta) == list(report.exceptional)
+
+    def test_hits_mark_class_members(self):
+        primes, scans = class_scans(1000, 30, 1)
+        assert all(int(p) % 5 == 1 for p in primes)
+        for cls, hits in scans:
+            assert hits.shape == primes.shape
+            assert scan_class_primes(cls, 1000) == primes[hits].tolist()
 
 
 class TestExceptional:
