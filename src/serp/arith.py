@@ -111,10 +111,20 @@ class Factorization:
 
     def divisors(self) -> list[int]:
         """All positive divisors of n, ascending."""
-        ds = [1]
+        return self.divisors_in_class(0, 1, self.n)
+
+    def divisors_in_class(self, residue: int, modulus: int, upto: int) -> list[int]:
+        """Divisors d <= upto of n with d = residue (mod modulus), ascending.
+
+        Partial products above upto are dropped while the list is built,
+        so the work is bounded by the number of divisors <= upto.
+        """
+        ds = [1] if upto >= 1 else []
         for p, e in self.factors:
-            ds = [d * q for d in ds for q in _powers(p, e)]
-        return sorted(ds)
+            powers = [p**k for k in range(e + 1)]
+            ds = [d * q for d in ds for q in powers if d * q <= upto]
+        residue %= modulus
+        return sorted(d for d in ds if d % modulus == residue)
 
     def squared(self) -> "Factorization":
         """Factorization of n**2 without refactoring."""
@@ -123,21 +133,16 @@ class Factorization:
         )
 
 
-def _powers(p: int, e: int) -> list[int]:
-    out = [1]
-    for _ in range(e):
-        out.append(out[-1] * p)
-    return out
-
-
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between units mod 30 from 7
 
 
 def factorize(n: int) -> Factorization:
     """Trial-division factorization with an is_prime short-circuit.
 
-    Meant for desk-scale n (up to ~1e12); larger inputs simply take as
-    long as the sqrt scan does.
+    Both engines factor once and list the divisors they need in one
+    residue class with Factorization.divisors_in_class.  Meant for
+    desk-scale n (up to ~1e12); larger inputs take as long as the sqrt
+    scan does.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -13,7 +13,6 @@ kernel identity is (gamma*A - c) * (gamma*B - c) = c**2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -55,9 +54,6 @@ class Ed1Witness:
             "C": self.C,
         }
 
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def default_gamma_max(P: int) -> int:
     """Tunable search bound 5 * ceil(log(P)^3); not a completeness claim."""
@@ -85,8 +81,9 @@ def ed1_search(P: int, gamma_max: int, gamma_min: int = 4) -> list[Ed1Witness]:
     """All witnesses with gamma_min <= gamma <= gamma_max.
 
     Deterministic order: gamma ascending, then u ascending.  Divisor
-    pairs u*v = c**2 are drawn from the squared factorization of c; the
-    pair u = v = c is excluded (it would force A = B).
+    pairs u*v = c**2 are drawn from the squared factorization of c, u
+    listed only in its class -c (mod gamma) and below c; the pair
+    u = v = c is excluded (it would force A = B).
     """
     out = []
     for gamma, c in ed1_candidates(P, gamma_max):
@@ -101,11 +98,8 @@ def _witnesses_for_candidate(P: int, gamma: int, c: int) -> list[Ed1Witness]:
     banned = (-c) % P
     csq = c * c
     found = []
-    for u in factorize(c).squared().divisors():
-        if u >= c:  # u < v only; u = v = c is degenerate
-            break
-        if u % gamma != target:
-            continue
+    # u <= c - 1 keeps u < v; u = v = c is degenerate
+    for u in factorize(c).squared().divisors_in_class(target, gamma, c - 1):
         v = csq // u
         # v = -c (mod gamma) follows from u*v = c^2 and gcd(gamma, c) = 1,
         # but is checked anyway as a cheap bug trap.

@@ -5,8 +5,11 @@ Every such solution satisfies the kernel identity
     (5b - 1)(5c - 1) = 5*P*delta + 1,   delta | b*c,   A = b*c/delta,
 
 so the search runs over delta and divisor pairs r*s = 5*P*delta + 1 with
-r = s = 4 (mod 5), reconstructing b = (r+1)/5, c = (s+1)/5.  The
-normalized coordinates split b = g*b', c = g*c' with gcd(b', c') = 1 and
+r = s = 4 (mod 5): N = 5*P*delta + 1 is factored once, its divisors
+r = 4 (mod 5) up to sqrt(N) are listed, and pair_from_divisor, the only
+code that turns a divisor into a witness, rebuilds b = (r+1)/5 and
+c = (s+1)/5.  The normalized
+coordinates split b = g*b', c = g*c' with gcd(b', c') = 1 and
 delta = alpha * dprime**2 (alpha squarefree); a row is canonical when
 g = alpha*dprime, b' + c' = m*dprime and A = alpha*b'*c', where
 m = 5A - P.
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import squarefree_split
+from .arith import factorize, squarefree_split
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -76,47 +79,40 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
 
 def _witnesses_for_delta(P: int, delta: int) -> list[Ed2Witness]:
     N = 5 * P * delta + 1
-    found = []
-    for r in range(4, isqrt(N) + 1, 5):
-        if N % r:
-            continue
-        s = N // r
-        # r*s = 1 (mod 5) and r = 4 (mod 5) force s = 4 (mod 5).
-        if s % 5 != 4:
-            raise KernelViolation(f"cofactor {s} escaped the class 4 (mod 5)")
-        b, c = (r + 1) // 5, (s + 1) // 5
-        if b == c or (b * c) % delta:
-            continue
-        found.append(Ed2Witness(P, delta, b, c, r, s, b * c // delta))
-    return found
+    rs = factorize(N).divisors_in_class(4, 5, isqrt(N))
+    return [w for r in rs if (w := pair_from_divisor(P, delta, r)) is not None]
+
+
+def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
+    """The witness whose divisor pair r*s = 5*P*delta + 1 contains r.
+
+    None unless r >= 4, r = 4 (mod 5) and r divides N = 5*P*delta + 1,
+    and None when the pair repeats a denominator (b = c) or delta does
+    not divide b*c.  The pair is ordered so that b < c.
+    """
+    N = 5 * P * delta + 1
+    if delta < 1 or r < 4 or r % 5 != 4 or N % r:
+        return None
+    s = N // r
+    # r*s = 1 (mod 5) and r = 4 (mod 5) force s = 4 (mod 5).
+    if s % 5 != 4:
+        raise KernelViolation(f"cofactor {s} escaped the class 4 (mod 5)")
+    r, s = min(r, s), max(r, s)
+    b, c = (r + 1) // 5, (s + 1) // 5
+    if b == c or (b * c) % delta:
+        return None
+    return Ed2Witness(P, delta, b, c, r, s, b * c // delta)
 
 
 def ed2_case_a(P: int, delta: int, S: list[int]) -> Solution | None:
-    """First-hit search over an explicit candidate list of divisors r.
-
-    Returns the solution from the first r in S that divides
-    N = 5*P*delta + 1 with cofactor s = 4 (mod 5) and delta | b*c, the
-    pair swapped if needed so that A <= B < C; None when no r qualifies.
-    """
+    """Solution from the first r in S that pair_from_divisor accepts,
+    or None when no r qualifies."""
     if P % 5 == 0:
         raise WrongResidue(f"needs 5 to not divide P, got P = {P}")
-    N = 5 * P * delta + 1
     for r in S:
-        if r < 1 or N % r:
-            continue
-        s = N // r
-        if s % 5 != 4:
-            continue
-        b = (r + 1) // 5
-        c = (s + 1) // 5
-        if (b * c) % delta:
-            continue
-        A = (b * c) // delta
-        if not (A <= b * P < c * P):
-            b, c = c, b
-        if b == c:
-            continue  # B < C cannot hold
-        return make_solution(P, A, b * P, c * P, SolutionClass.ED2)
+        w = pair_from_divisor(P, delta, r)
+        if w is not None:
+            return ed2_reconstruct(w)
     return None
 
 

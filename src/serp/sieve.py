@@ -30,8 +30,9 @@ import numpy as np
 
 from ._kernels import class_primes
 from .arith import euler_phi, mod_inverse, crt_combine
+from .ed2 import ed2_reconstruct, pair_from_divisor
 from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime
-from .solution import Solution, SolutionClass, make_solution
+from .solution import Solution
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,8 @@ def scan_class_primes(cls: ProgressionClass, x: int) -> list[int]:
 def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:
     """Solution for a prime P lying in the (delta, r) progression class.
 
-    s = (5*P*delta + 1)/r is integral with s = 4 (mod 5) by the class
-    congruences; fails only when delta does not divide b*c (impossible
-    for delta = 1).
+    r divides 5*P*delta + 1 by the class congruences; fails only when
+    delta does not divide b*c (impossible for delta = 1).
     """
     cls = build_progression_class(delta, r)
     if P % cls.modulus != cls.residue:
@@ -170,17 +170,14 @@ def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:
             f"P = {P} is not in the class {cls.residue} (mod {cls.modulus})"
         )
     N = 5 * P * delta + 1
-    s, rem = divmod(N, r)
-    if rem or s % 5 != 4:
-        raise InvariantViolation(
-            f"5*P*delta + 1 = {N} is not r*s with s = 4 (mod 5) for r = {r}"
-        )
-    b, c = (r + 1) // 5, (s + 1) // 5
-    if (b * c) % delta:
-        raise DeltaFilterFailed(f"delta = {delta} does not divide b*c = {b * c}")
-    A = b * c // delta
-    lo, hi = min(b, c), max(b, c)
-    return make_solution(P, A, lo * P, hi * P, SolutionClass.ED2)
+    if N % r:
+        raise InvariantViolation(f"r = {r} does not divide 5*P*delta + 1 = {N}")
+    # For P = 1 (mod 5), b = c forces delta not to divide b*c, so None
+    # always means the delta filter failed.
+    w = pair_from_divisor(P, delta, r)
+    if w is None:
+        raise DeltaFilterFailed(f"delta = {delta} does not divide b*c for r = {r}")
+    return ed2_reconstruct(w)
 
 
 def count_local_params(P: int, R: int, delta: int) -> int:
@@ -189,11 +186,25 @@ def count_local_params(P: int, R: int, delta: int) -> int:
     return sum(1 for r in admissible_moduli(R, delta) if N % r == 0)
 
 
+_LI_LEAF = 1 << 16  # >= 128, numpy's pairwise block, so a leaf sums as inside one array
+
+
 def li_estimate(x: int) -> float:
-    """Integer-quadrature stand-in for Li(x): sum over k in [2, x] of 1/log k."""
+    """Integer-quadrature stand-in for Li(x): sum over k in [2, x] of 1/log k.
+
+    Leaves of _LI_LEAF terms are joined by numpy's own pairwise split, so
+    memory stays flat and the float equals one np.sum bit for bit.
+    """
     if x < 2:
         return 0.0
-    return float(np.sum(1.0 / np.log(np.arange(2, x + 1, dtype=np.float64))))
+
+    def pairwise(start: int, n: int) -> float:
+        if n <= _LI_LEAF:
+            return np.sum(1.0 / np.log(np.arange(start, start + n, dtype=np.float64)))
+        half = n // 2 - (n // 2) % 8
+        return pairwise(start, half) + pairwise(start + half, n - half)
+
+    return float(pairwise(2, x - 1))
 
 
 def class_scans(

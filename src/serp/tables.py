@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 
-from .arith import squarefree_split
 from .bridge import convolve_ed2_to_ed1
-from .ed2 import Ed2Witness
+from .ed2 import Ed2Witness, ed2_normalize, pair_from_divisor
 from .errors import InvariantViolation
 from .solution import verify_solution
 
@@ -149,22 +147,16 @@ class ErrataEntry:
 
 def row_from_bc(P: int, b: int, c: int) -> dict | None:
     """Full kernel-consistent row from (b, c), or None if inconsistent."""
-    if b < 1 or c < 1 or b == c:
+    delta, rem = divmod((5 * b - 1) * (5 * c - 1) - 1, 5 * P)
+    w = None if rem else pair_from_divisor(P, delta, 5 * min(b, c) - 1)
+    if w is None:
         return None
-    if b > c:
-        b, c = c, b
-    r, s = 5 * b - 1, 5 * c - 1
-    N = r * s
-    delta, rem = divmod(N - 1, 5 * P)
-    if rem or delta < 1 or (b * c) % delta:
-        return None
-    A = b * c // delta
-    g = gcd(b, c)
-    alpha, dprime = squarefree_split(delta)
+    n = ed2_normalize(w)
     row = _full(
-        alpha, b // g, c // g, g, b, c, delta, r, s, N, A, b * P, c * P, dprime
+        n.alpha, n.bprime, n.cprime, n.g, w.b, w.c, w.delta, w.r, w.s, w.r * w.s,
+        w.A, w.B, w.C, n.dprime,
     )
-    if not verify_solution(P, A, b * P, c * P):
+    if not verify_solution(P, w.A, w.B, w.C):
         raise InvariantViolation(f"row from (b, c) = ({b}, {c}) does not verify for P = {P}")
     return row
 

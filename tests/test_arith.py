@@ -186,6 +186,17 @@ class TestFactorize:
                 prod *= p**e
             assert prod == n
 
+    def test_matches_sympy_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        big_primes = (999_983, 1_000_003, 1_000_033, 99_991, 7_919)
+        squares = [p * p for p in big_primes]
+        prime_powers = [2**39, 3**25, 7**14, 101**6, 9_973**3]
+        semiprimes = [p * q for p in big_primes for q in big_primes if p < q]
+        rng = random.Random(12)
+        sampled = [rng.randrange(2, 10**12) for _ in range(20)]
+        for n in squares + prime_powers + semiprimes + sampled:
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+
     def test_squared(self):
         f = factorize(56).squared()
         assert f.n == 56 * 56

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
+from serp import sieve
 from serp._kernels import _FULL_MASK_LIMIT
 from serp.errors import BadResidue, DeltaFilterFailed, NotCoprime
 from serp.sieve import (
@@ -247,6 +249,15 @@ def test_fit_growth_constant_requires_two_points(scan_reports_1e6):
 
     with pytest.raises(ValueError):
         fit_growth_constant({8: scan_reports_1e6[8]})
+
+
+@pytest.mark.parametrize("leaf", [128, 1000, sieve._LI_LEAF])
+def test_li_estimate_leaves_equal_one_sum(monkeypatch, leaf):
+    # the leaf-wise sum must reproduce one np.sum over [2, x] bit for bit
+    monkeypatch.setattr(sieve, "_LI_LEAF", leaf)
+    for x in [*range(0, 3000, 7), 2**16 + 1, 3 * 2**16 + 5, 10**6 + 3]:
+        ref = float(np.sum(1.0 / np.log(np.arange(2, x + 1, dtype=np.float64))))
+        assert li_estimate(x) == (ref if x >= 2 else 0.0), x
 
 
 def test_li_estimate_reasonable():
