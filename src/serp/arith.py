@@ -142,7 +142,8 @@ def factorize(n: int) -> Factorization:
     Both engines factor once and list the divisors they need in one
     residue class with Factorization.divisors_in_class.  Meant for
     desk-scale n (up to ~1e12); larger inputs take as long as the sqrt
-    scan does.
+    scan does, unless what is left is prime.  A cofactor past the
+    deterministic primality range raises ValueError.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -160,12 +161,14 @@ def factorize(n: int) -> Factorization:
 
     for p in (2, 3, 5):
         strip(p)
+    # A prime cofactor ends the scan, whether it is left after the wheel
+    # primes 2, 3, 5 or after a later strip.
     p, i = 7, 0
-    while p * p <= m:
+    done = is_prime(m)
+    while not done and p * p <= m:
         if m % p == 0:
             strip(p)
-            if m > 1 and is_prime(m):
-                break
+            done = is_prime(m)
         p += _WHEEL_GAPS[i]
         i = (i + 1) & 7
     if m > 1:

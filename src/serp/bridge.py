@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ed1 import Ed1Witness, ed1_reconstruct
-from .ed2 import Ed2Witness, ed2_reconstruct
+from .ed2 import Ed2Witness, ed2_reconstruct, pair_from_divisor
 from .errors import SerpError
 
 
@@ -91,7 +91,13 @@ def anticonvolve_ed1_to_ed2(
         return BridgeResult.failed(f"A = {A} does not divide b*c = {b * c}")
     delta = b * c // A
     lo, hi = min(b, c), max(b, c)
-    candidate = Ed2Witness(P, delta, lo, hi, 5 * lo - 1, 5 * hi - 1, A)
+    # pair_from_divisor rebuilds c from N // r, so it can return another
+    # pair; only (lo, hi) itself maps.
+    candidate = pair_from_divisor(P, delta, 5 * lo - 1)
+    if candidate is None or (candidate.b, candidate.c) != (lo, hi):
+        return BridgeResult.failed(
+            f"(b, c) = ({lo}, {hi}) is not a kernel pair for delta = {delta}"
+        )
     try:
         ed2_reconstruct(candidate)
     except SerpError as exc:

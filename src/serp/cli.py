@@ -5,6 +5,8 @@ parametric engines), verify, scan (a prime range), sieve (progression
 classes), stats (density report) and table (published-row audit with
 errata).  Output is deterministic for fixed argv: JSON lines when
 stdout is not a TTY, an aligned table when it is, CSV on request.
+Every subcommand builds plain records and hands them to _emit, the one
+place that knows the three formats.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation.
@@ -17,48 +19,59 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from .arith import is_prime
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
 from .ed2 import default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError
 from .explicit import decompose_explicit, repair_distinct
-from .sieve import (
-    average_local_params,
-    class_scans,
-    reconstruct_from_class,
-    write_scan_csv,
-    CSV_FIELDS,
-)
+from .sieve import average_local_params, class_scans, reconstruct_from_class
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
 from .tables import ROW_COLUMNS, TABLE_IDS, TABLES, audit_table, row_from_bc
 
+SOLUTION_COLUMNS = ("P", "A", "B", "C", "class", "strict")
 SOLUTION_CSV_COLUMNS = ("#",) + ROW_COLUMNS  # the published-table layout
+CSV_FIELDS = ("delta", "r", "modulus", "residue", "primes_found", "first_prime", "exceptional")
+ERRATA_CSV_COLUMNS = (
+    ("#", "status", "xy_lemma_ok", "mismatched_columns")
+    + tuple(f"printed_{c}" for c in ROW_COLUMNS)
+    + tuple(f"recomputed_{c}" for c in ROW_COLUMNS)
+)
+ERRATA_TABLE_COLUMNS = ("#", "status", "xy_lemma_ok", "mismatched", "recomputed")
 
 _USAGE_EXIT = 2
 _INVARIANT_EXIT = 3
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value)
+    return str(value)
 
 
-def _emit_table(records: list[dict], columns: list[str], out) -> None:
-    cells = [[("" if r.get(c, "") is None else str(r.get(c, ""))) for c in columns] for r in records]
-    widths = [
-        max(len(columns[i]), max((len(row[i]) for row in cells), default=0))
-        for i in range(len(columns))
-    ]
-    out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-    for row in cells:
+def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
+    """The one serialiser of every subcommand.
+
+    json writes each whole record as a compact, key-sorted line; csv and
+    table write the given columns, a missing key or None as an empty
+    cell and a nested value as its JSON text.
+    """
+    if fmt == "json":
+        for record in records:
+            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        return
+    cells = [[_cell(r.get(c)) for c in columns] for r in records]
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(cells)
+        return
+    widths = [max([len(c)] + [len(row[i]) for row in cells]) for i, c in enumerate(columns)]
+    for row in [list(columns)] + cells:
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
-
-
-def _emit_csv(records: list[dict], columns: list[str], out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for r in records:
-        writer.writerow([("" if r.get(c, "") is None else r.get(c, "")) for c in columns])
 
 
 def _pick_format(args) -> str:
@@ -70,9 +83,7 @@ def _pick_format(args) -> str:
 def _solution_table_row(idx: int, sol: Solution) -> dict:
     """Solution rendered in the published-table column layout; columns
     that only exist for two-multiple rows stay empty otherwise."""
-    row = {c: "" for c in SOLUTION_CSV_COLUMNS}
-    row["#"] = idx
-    row["A"], row["B"], row["C"] = sol.A, sol.B, sol.C
+    row = {"#": idx, "A": sol.A, "B": sol.B, "C": sol.C}
     if sol.B % sol.P == 0 and sol.C % sol.P == 0:
         full = row_from_bc(sol.P, sol.B // sol.P, sol.C // sol.P)
         if full is not None and full["A"] == sol.A:
@@ -84,16 +95,12 @@ def _emit_solutions(solutions: list[Solution], fmt: str, out) -> None:
     for sol in solutions:
         if not verify_solution(sol.P, sol.A, sol.B, sol.C):  # no unchecked output
             raise InvariantViolation(f"unverified solution reached output: {sol}")
-    if fmt == "json":
-        for sol in solutions:
-            out.write(sol.as_json() + "\n")
-    else:
+    if fmt == "csv":
         rows = [_solution_table_row(i, s) for i, s in enumerate(solutions, start=1)]
-        if fmt == "csv":
-            _emit_csv(rows, list(SOLUTION_CSV_COLUMNS), out)
-        else:
-            recs = [s.as_dict() for s in solutions]
-            _emit_table(recs, ["P", "A", "B", "C", "class", "strict"], out)
+        _emit(rows, SOLUTION_CSV_COLUMNS, fmt, out)
+    else:
+        # a generator, so json output does not hold a dict per solution
+        _emit((s.as_dict() for s in solutions), SOLUTION_COLUMNS, fmt, out)
 
 
 def _bound(flag_value, env_name: str, default: int) -> int:
@@ -177,12 +184,7 @@ def cmd_verify(args, out) -> int:
         sol = make_solution(args.P, args.A, args.B, args.C, SolutionClass.ED1)
         mult = classify_solution(sol)
         record["multiplicity"] = {"count": mult.count, "positions": list(mult.positions)}
-    fmt = _pick_format(args)
-    if fmt == "table":
-        _emit_table([{k: json.dumps(v) if isinstance(v, dict) else v
-                      for k, v in record.items()}], list(record), out)
-    else:
-        out.write(_dumps(record) + "\n")
+    _emit([record], list(record), _pick_format(args), out)
     return 0 if ok else 1
 
 
@@ -237,96 +239,61 @@ def cmd_sieve(args, out) -> int:
         else:
             row["first_solution"] = None
         rows.append(row)
-    fmt = _pick_format(args)
-    if fmt == "json":
-        for row in rows:
-            out.write(_dumps(row) + "\n")
-    elif fmt == "csv":
-        write_scan_csv(
-            [{k: ("" if row[k] is None else row[k]) for k in CSV_FIELDS} for row in rows], out
-        )
-    else:
-        _emit_table(rows, list(CSV_FIELDS), out)
+    _emit(rows, CSV_FIELDS, _pick_format(args), out)
     return 0
 
 
 def cmd_stats(args, out) -> int:
     report = average_local_params(args.x, args.rmax, args.delta)
     fmt = _pick_format(args)
-    if fmt == "json":
-        out.write(report.as_json() + "\n")
-    elif fmt == "csv":
-        write_scan_csv(report.csv_rows(), out)
-    else:
+    if fmt == "table":
         avg = "undefined (no primes)" if report.average is None else str(report.average)
         out.write(f"x = {report.x}  R = {report.R}  delta = {report.delta}\n")
         out.write(f"primes = 1 (mod 5) up to x: {report.prime_count}\n")
         out.write(f"mean N(P; R, delta): {avg}\n")
         out.write(f"sum 1/phi(5r): {report.phi_sum}\n")
         out.write(f"exceptional r: {list(report.exceptional)}\n")
-        _emit_table(report.csv_rows(), list(CSV_FIELDS), out)
+    if fmt == "json":
+        records = [report.as_dict()]
+    else:  # one row per class; skips the string-keyed copy of n_of_p
+        records = [{**vars(c), "exceptional": c.primes_found == 0} for c in report.classes]
+    _emit(records, CSV_FIELDS, fmt, out)
     return 0
 
 
+def _errata_row(e) -> dict:
+    """One audited row with the cells of both the csv and the table layout."""
+    if e.recomputed is None:
+        summary = "unrecoverable from any anchor"
+    else:
+        summary = ", ".join(f"{k}={e.recomputed[k]}" for k in ("b", "c", "delta", "A"))
+    row = {
+        "#": e.row,
+        "status": e.status,
+        "xy_lemma_ok": e.xy_lemma_ok,
+        "mismatched_columns": ";".join(e.mismatched_columns),
+        "mismatched": ";".join(e.mismatched_columns) or "-",
+        "recomputed": summary,
+    }
+    for c in ROW_COLUMNS:
+        row[f"printed_{c}"] = e.printed.get(c)
+        row[f"recomputed_{c}"] = None if e.recomputed is None else e.recomputed.get(c)
+    return row
+
+
 def cmd_table(args, out) -> int:
-    table = TABLES[args.table_id]
     fmt = _pick_format(args)
     if not args.check:
         rows = []
-        for i, printed in enumerate(table.rows, start=1):
+        for i, printed in enumerate(TABLES[args.table_id].rows, start=1):
             row = {c: printed.get(c, "") for c in ROW_COLUMNS}
             row["#"] = i
             rows.append(row)
-        if fmt == "json":
-            for row in rows:
-                out.write(_dumps(row) + "\n")
-        elif fmt == "csv":
-            _emit_csv(rows, list(SOLUTION_CSV_COLUMNS), out)
-        else:
-            _emit_table(rows, list(SOLUTION_CSV_COLUMNS), out)
+        _emit(rows, SOLUTION_CSV_COLUMNS, fmt, out)
         return 0
     entries = audit_table(args.table_id)
-    if fmt == "json":
-        for entry in entries:
-            out.write(entry.as_json() + "\n")
-    elif fmt == "csv":
-        columns = (
-            ["#", "status", "xy_lemma_ok", "mismatched_columns"]
-            + [f"printed_{c}" for c in ROW_COLUMNS]
-            + [f"recomputed_{c}" for c in ROW_COLUMNS]
-        )
-        rows = []
-        for e in entries:
-            row = {
-                "#": e.row,
-                "status": e.status,
-                "xy_lemma_ok": e.xy_lemma_ok,
-                "mismatched_columns": ";".join(e.mismatched_columns),
-            }
-            for c in ROW_COLUMNS:
-                row[f"printed_{c}"] = e.printed.get(c, "")
-                row[f"recomputed_{c}"] = "" if e.recomputed is None else e.recomputed.get(c, "")
-            rows.append(row)
-        _emit_csv(rows, columns, out)
-    else:
-        rows = []
-        for e in entries:
-            if e.recomputed is None:
-                summary = "unrecoverable from any anchor"
-            else:
-                summary = ", ".join(
-                    f"{k}={e.recomputed[k]}" for k in ("b", "c", "delta", "A")
-                )
-            rows.append(
-                {
-                    "#": e.row,
-                    "status": e.status,
-                    "xy_lemma_ok": e.xy_lemma_ok,
-                    "mismatched": ";".join(e.mismatched_columns) or "-",
-                    "recomputed": summary,
-                }
-            )
-        _emit_table(rows, ["#", "status", "xy_lemma_ok", "mismatched", "recomputed"], out)
+    records = [e.as_dict() if fmt == "json" else _errata_row(e) for e in entries]
+    _emit(records, ERRATA_CSV_COLUMNS if fmt == "csv" else ERRATA_TABLE_COLUMNS, fmt, out)
     return 0
 
 

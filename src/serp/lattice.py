@@ -11,7 +11,6 @@ how many delta values can sit near the kernel surface.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -156,13 +155,3 @@ def density_rows(classes: list[SublatticeClass], box_sides: list[int]) -> list[d
                 }
             )
     return rows
-
-
-def write_density_csv(rows: list[dict], fileobj) -> None:
-    writer = csv.DictWriter(
-        fileobj, fieldnames=["M", "T", "count", "expected", "deviation"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)

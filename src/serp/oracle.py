@@ -61,10 +61,3 @@ def enumerate_all_solutions(P: int, distinct_only: bool = True) -> OracleEnumera
 def existence_check(P: int) -> bool:
     """True iff at least one distinct-denominator solution exists."""
     return bool(enumerate_all_solutions(P, distinct_only=True).solutions)
-
-
-def write_jsonl(enum: OracleEnumeration, fileobj) -> None:
-    """One solution record per line, audit-archive format."""
-    for sol in enum.solutions:
-        fileobj.write(sol.as_json())
-        fileobj.write("\n")

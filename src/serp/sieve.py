@@ -20,8 +20,6 @@ its members; N(P; R, delta) is the number of classes that contain P.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -99,33 +97,6 @@ class ScanReport:
             "exceptional": list(self.exceptional),
             "n_of_p": {str(p): n for p, n in sorted(self.n_of_p.items())},
         }
-
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "delta": c.delta,
-                "r": c.r,
-                "modulus": c.modulus,
-                "residue": c.residue,
-                "primes_found": c.primes_found,
-                "first_prime": "" if c.first_prime is None else c.first_prime,
-                "exceptional": c.primes_found == 0,
-            }
-            for c in self.classes
-        ]
-
-
-CSV_FIELDS = ("delta", "r", "modulus", "residue", "primes_found", "first_prime", "exceptional")
-
-
-def write_scan_csv(rows: list[dict], fileobj) -> None:
-    writer = csv.DictWriter(fileobj, fieldnames=list(CSV_FIELDS), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
 
 
 def _check_delta(delta: int) -> None:

@@ -4,10 +4,8 @@ the minimal denominator."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import ClassificationViolation, InvalidSolution
 
@@ -47,15 +45,16 @@ class Solution:
             "strict": self.strict,
         }
 
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def verify_solution(P: int, A: int, B: int, C: int) -> bool:
-    """Exact check of 1/A + 1/B + 1/C = 5/P; False for any non-solution."""
+    """Exact check of 1/A + 1/B + 1/C = 5/P; False for any non-solution.
+
+    With every value positive the equation is P*(AB + AC + BC) = 5*ABC,
+    so the check stays in integers.
+    """
     if P < 1 or A < 1 or B < 1 or C < 1:
         return False
-    return Fraction(1, A) + Fraction(1, B) + Fraction(1, C) == Fraction(5, P)
+    return P * (A * B + A * C + B * C) == 5 * A * B * C
 
 
 def make_solution(P: int, A: int, B: int, C: int, cls: SolutionClass) -> Solution:

@@ -17,7 +17,6 @@ reported separately, since a row can pass it and still be wrong.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bridge import convolve_ed2_to_ed1
@@ -140,9 +139,6 @@ class ErrataEntry:
             "recomputed": self.recomputed,
             "bridge": self.bridge,
         }
-
-    def as_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def row_from_bc(P: int, b: int, c: int) -> dict | None:

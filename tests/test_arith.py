@@ -197,6 +197,18 @@ class TestFactorize:
         for n in squares + prime_powers + semiprimes + sampled:
             assert dict(factorize(n).factors) == sympy.factorint(n), n
 
+    def test_prime_cofactor_after_wheel_primes(self):
+        # q is prime, so the scan stops before its first wheel step; a sqrt
+        # scan of q would take about 3e7 wheel steps
+        q = 10_000_000_000_000_061
+        assert factorize(q).factors == ((q, 1),)
+        assert factorize(2 * q).factors == ((2, 1), (q, 1))
+
+    def test_cofactor_past_primality_range_is_rejected(self):
+        # no prime factor <= 37, and too large for deterministic Miller-Rabin
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            factorize(2 * 10_000_000_000_000_000_000_000_007)
+
     def test_squared(self):
         f = factorize(56).squared()
         assert f.n == 56 * 56

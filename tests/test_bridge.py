@@ -64,6 +64,19 @@ class TestAnticonvolve:
         res = anticonvolve_ed1_to_ed2((1, 1, 0, 10), 11)
         assert not res.mapped
 
+    def test_round_trip_of_two_multiple_witnesses(self):
+        # (gamma, c, gamma*A - c, gamma*b*P - c) satisfies every reverse
+        # precondition, so each witness must come back unchanged
+        checked = 0
+        for P in (11, 31, 41, 61, 71, 73, 97):
+            for w in ed2_search(P, 50):
+                for gamma in (1, 4, 9):
+                    q = (gamma, w.c, gamma * w.A - w.c, gamma * w.b * P - w.c)
+                    res = anticonvolve_ed1_to_ed2(q, P)
+                    assert res.mapped and res.witness == w, (q, P, res.reason)
+                    checked += 1
+        assert checked >= 50
+
     def test_kernel_valid_one_multiple_witnesses_never_map(self):
         # P | (v+c) is exactly what the one-multiple filters exclude
         from serp.ed1 import ed1_search

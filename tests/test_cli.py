@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -121,6 +122,18 @@ class TestVerify:
         code, out = run_cli("verify", "11", "3", "9", "100", "--format", "json")
         assert code == 1
         assert json_lines(out)[0]["valid"] is False
+
+    def test_csv(self):
+        code, out = run_cli("verify", "11", "3", "9", "99", "--format", "csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row == {
+            "P": "11", "A": "3", "B": "9", "C": "99", "valid": "True",
+            "multiplicity": '{"count": 1, "positions": ["C"]}',
+        }
+        code, out = run_cli("verify", "11", "3", "9", "100", "--format", "csv")
+        assert code == 1
+        assert out == "P,A,B,C,valid\n11,3,9,100,False\n"
 
     def test_composite(self):
         code, _ = run_cli("verify", "4", "1", "2", "3")

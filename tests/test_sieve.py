@@ -9,6 +9,7 @@ import pytest
 
 from serp import sieve
 from serp._kernels import _FULL_MASK_LIMIT
+from serp.cli import main
 from serp.errors import BadResidue, DeltaFilterFailed, NotCoprime
 from serp.sieve import (
     admissible_moduli,
@@ -20,7 +21,6 @@ from serp.sieve import (
     li_estimate,
     reconstruct_from_class,
     scan_class_primes,
-    write_scan_csv,
 )
 
 
@@ -156,7 +156,7 @@ class TestAverageReport:
 
     def test_json_round_trip(self):
         report = average_local_params(100, 20, 1)
-        data = json.loads(report.as_json())
+        data = json.loads(json.dumps(report.as_dict()))
         assert data["average"] == "1"
         assert data["phi_sum"] == "2/9"
         assert data["exceptional"] == [19]
@@ -164,9 +164,8 @@ class TestAverageReport:
         assert len(data["classes"]) == 4
 
     def test_csv_rows(self):
-        report = average_local_params(100, 20, 1)
         buf = io.StringIO()
-        write_scan_csv(report.csv_rows(), buf)
+        assert main(["stats", "--x", "100", "--rmax", "20", "--delta", "1", "--format", "csv"], out=buf) == 0
         lines = buf.getvalue().splitlines()
         assert lines[0] == "delta,r,modulus,residue,primes_found,first_prime,exceptional"
         assert lines[1] == "1,4,20,11,3,11,False"

@@ -1,6 +1,8 @@
-import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serp.errors import ClassificationViolation, InvalidSolution
 from serp.solution import (
@@ -26,6 +28,58 @@ class TestVerify:
         assert not verify_solution(11, 3, -9, 99)
 
 
+def fraction_verify(P, A, B, C):
+    """Reference check: the equation itself in exact rationals."""
+    if min(P, A, B, C) < 1:
+        return False
+    return Fraction(1, A) + Fraction(1, B) + Fraction(1, C) == Fraction(5, P)
+
+
+# (P, A, B, C) solutions; (kP, kA, kB, kC) solves the equation too.
+SEEDS = [(11, 3, 9, 99), (11, 3, 11, 33), (11, 4, 5, 220), (13, 3, 39, 39), (73, 15, 584, 8760)]
+# Signed solutions of P*(AB + AC + BC) = 5*ABC: only the sign guards reject them.
+SIGNED_SEEDS = [(11, 3, 6, -22), (-11, -3, -6, 22), (-11, -3, -9, -99)]
+
+
+@st.composite
+def scaled_solutions(draw, seeds=SEEDS):
+    P, *dens = draw(st.sampled_from(seeds))
+    k = draw(st.integers(1, 10**30))
+    return [k * P] + [k * d for d in draw(st.permutations(dens))]
+
+
+class TestVerifyAgainstFractions:
+    @settings(max_examples=200)
+    @given(scaled_solutions())
+    def test_solutions(self, q):
+        assert fraction_verify(*q)
+        assert verify_solution(*q)
+
+    @settings(max_examples=200)
+    @given(scaled_solutions(), st.integers(1, 3), st.sampled_from((-1, 1)))
+    def test_near_misses(self, q, i, step):
+        q[i] += step
+        assert verify_solution(*q) == fraction_verify(*q)
+
+    @settings(max_examples=200)
+    @given(scaled_solutions(), st.integers(0, 3), st.integers(-10**6, 0))
+    def test_nonpositive_inputs(self, q, i, value):
+        q[i] = value
+        assert not fraction_verify(*q)
+        assert not verify_solution(*q)
+
+    @given(scaled_solutions(SIGNED_SEEDS))
+    def test_signed_solutions(self, q):
+        P, A, B, C = q
+        assert P * (A * B + A * C + B * C) == 5 * A * B * C
+        assert not fraction_verify(*q)
+        assert not verify_solution(*q)
+
+    @given(st.lists(st.integers(-50, 10**4), min_size=4, max_size=4))
+    def test_arbitrary_quadruples(self, q):
+        assert verify_solution(*q) == fraction_verify(*q)
+
+
 class TestMakeSolution:
     def test_sorts_and_flags(self):
         sol = make_solution(11, 99, 3, 9, SolutionClass.ED1)
@@ -42,7 +96,7 @@ class TestMakeSolution:
 
     def test_json_wire_form(self):
         sol = make_solution(11, 3, 9, 99, SolutionClass.ED1)
-        assert json.loads(sol.as_json()) == {
+        assert sol.as_dict() == {
             "P": 11, "A": 3, "B": 9, "C": 99, "class": "ED1", "strict": True,
         }
 
