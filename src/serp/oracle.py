@@ -1,17 +1,21 @@
-"""Exhaustive ground truth by direct range scanning.
+"""Exhaustive ground truth from the divisors of (AP)^2.
 
-For each admissible A (P < 5A < 3P) the tail q = 5/P - 1/A fixes the
-range 1/q < B <= 2/q, and C is accepted only when 1/(q - 1/B) is
-exactly integral.  Deliberately independent of the parametric engines
-so it can audit them; every accepted triple is re-verified in exact
-rational arithmetic.
+For each admissible A (P < 5A < 3P) put n = 5A - P and d = AP, so that
+1/B + 1/C = n/d.  That is (nB - d)(nC - d) = d^2: the pairs B <= C are
+the divisors x <= d of d^2 with x = -d (mod n), and B = (x + d)/n,
+C = (d^2/x + d)/n (Elsholtz & Tao, J. Aust. Math. Soc. 2013, Type I/II).
+Since A < P, n and d are coprime, so every such x gives integral B and
+C.  The cost is one factorization of A and the tau((AP)^2) divisor
+products per A.  Deliberately independent of the parametric engines so
+it can audit them; every accepted triple is re-verified in exact
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import Factorization, factorize, is_prime
 from .errors import ClassificationViolation, NotPrime
 from .solution import Solution, SolutionClass, make_solution
 
@@ -34,20 +38,16 @@ def enumerate_all_solutions(P: int, distinct_only: bool = True) -> OracleEnumera
     a_lo = P // 5 + 1
     a_hi = (3 * P - 1) // 5 if distinct_only else (3 * P) // 5
     for A in range(a_lo, a_hi + 1):
-        qn = 5 * A - P  # q = qn/qd = 5/P - 1/A
-        qd = A * P
-        b_lo = max(qd // qn + 1, A + 1 if distinct_only else A)
-        b_hi = 2 * qd // qn
-        for B in range(b_lo, b_hi + 1):
-            cn = qn * B - qd  # 1/C = cn/(qd*B)
-            if cn <= 0:
+        n = 5 * A - P
+        d = A * P
+        # A < P, so P is the largest prime of d and the factors stay sorted.
+        fd = Factorization(d, factorize(A).factors + ((P, 1),))
+        # x < d exactly when B < C; divisors ascend, so B ascends too.
+        for x in fd.squared().divisors_in_class(-d, n, d - 1 if distinct_only else d):
+            B = (x + d) // n
+            if B < A or (distinct_only and B == A):
                 continue
-            cd = qd * B
-            if cd % cn:
-                continue
-            C = cd // cn
-            if C < B or (distinct_only and C == B):
-                continue
+            C = (d * d // x + d) // n
             count = (B % P == 0) + (C % P == 0)
             if A % P == 0 or (P > 5 and count == 0):
                 raise ClassificationViolation(
@@ -56,8 +56,3 @@ def enumerate_all_solutions(P: int, distinct_only: bool = True) -> OracleEnumera
             cls = SolutionClass.ED2 if count == 2 else SolutionClass.ED1
             sols.append(make_solution(P, A, B, C, cls))
     return OracleEnumeration(P, distinct_only, tuple(sols))
-
-
-def existence_check(P: int) -> bool:
-    """True iff at least one distinct-denominator solution exists."""
-    return bool(enumerate_all_solutions(P, distinct_only=True).solutions)

@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serp._kernels import prime_mask
 from serp.arith import (
@@ -108,6 +110,24 @@ class TestCrtCombine:
             assert 0 <= res < mod
             assert res % m1 == r1 and res % m2 == r2
             done += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m1=st.integers(1, 60),
+        m2=st.integers(1, 60),
+        r1=st.integers(-200, 200),
+        r2=st.integers(-200, 200),
+    )
+    def test_matches_brute_force(self, m1, m2, r1, r2):
+        # moduli need not be coprime, residues need not be reduced
+        lcm = m1 * m2 // gcd(m1, m2)
+        common = [x for x in range(lcm) if (x - r1) % m1 == 0 and (x - r2) % m2 == 0]
+        if not common:
+            with pytest.raises(InconsistentCongruence):
+                crt_combine(r1, m1, r2, m2)
+        else:
+            assert len(common) == 1
+            assert crt_combine(r1, m1, r2, m2) == (common[0], lcm)
 
 
 class TestJacobiSymbol:

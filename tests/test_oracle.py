@@ -1,15 +1,62 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from serp.errors import NotPrime
-from serp.oracle import enumerate_all_solutions, existence_check
+from serp.arith import is_prime
+from serp.errors import ClassificationViolation, NotPrime
+from serp.oracle import OracleEnumeration, enumerate_all_solutions
 from serp.solution import (
     SolutionClass,
     classify_solution,
+    make_solution,
     min_denominator_bounds,
     verify_solution,
 )
+
+
+def _range_scan_reference(P: int, distinct_only: bool = True) -> OracleEnumeration:
+    """The oracle as it was before the divisor method: for each A, every
+    B in (1/q, 2/q] with q = 5/P - 1/A, keeping B when 1/(q - 1/B) is
+    an integer.  It shares no divisor code with the oracle."""
+    if not is_prime(P):
+        raise NotPrime(f"{P} is not prime")
+    if P == 5:
+        raise ValueError("P = 5 is out of scope (5/P is an integer)")
+    sols = []
+    a_lo = P // 5 + 1
+    a_hi = (3 * P - 1) // 5 if distinct_only else (3 * P) // 5
+    for A in range(a_lo, a_hi + 1):
+        qn = 5 * A - P  # q = qn/qd = 5/P - 1/A
+        qd = A * P
+        b_lo = max(qd // qn + 1, A + 1 if distinct_only else A)
+        b_hi = 2 * qd // qn
+        for B in range(b_lo, b_hi + 1):
+            cn = qn * B - qd  # 1/C = cn/(qd*B)
+            if cn <= 0:
+                continue
+            cd = qd * B
+            if cd % cn:
+                continue
+            C = cd // cn
+            if C < B or (distinct_only and C == B):
+                continue
+            count = (B % P == 0) + (C % P == 0)
+            if A % P == 0 or (P > 5 and count == 0):
+                raise ClassificationViolation(
+                    f"impossible multiplicity pattern in ({A}, {B}, {C}) for P = {P}"
+                )
+            cls = SolutionClass.ED2 if count == 2 else SolutionClass.ED1
+            sols.append(make_solution(P, A, B, C, cls))
+    return OracleEnumeration(P, distinct_only, tuple(sols))
+
+
+def _rows(enum):
+    return [(s.triple(), s.cls, s.strict) for s in enum.solutions]
+
+
+PRIMES_1000_2000 = [p for p in range(1000, 2000) if is_prime(p)]
 
 
 class TestEnumeration:
@@ -55,13 +102,37 @@ class TestEnumeration:
 
 class TestExistence:
     def test_examples(self, oracle):
-        assert existence_check(31)
-        assert existence_check(7)
+        assert bool(enumerate_all_solutions(31).solutions)
+        assert bool(enumerate_all_solutions(7).solutions)
         with pytest.raises(NotPrime):
-            existence_check(4)
+            enumerate_all_solutions(4)
 
     def test_spot_prime_3511(self, oracle):
         assert len(oracle(3511).solutions) > 0
+
+
+class TestAgainstRangeScan:
+    # The divisor enumeration must give the range scan's solutions
+    # triple for triple, class for class and in the same order.
+    @pytest.mark.parametrize("distinct_only", [True, False])
+    def test_every_prime_up_to_1000(self, primes_up_to, distinct_only):
+        for P in primes_up_to(1000):
+            if P == 5:
+                continue
+            assert _rows(enumerate_all_solutions(P, distinct_only)) == _rows(
+                _range_scan_reference(P, distinct_only)
+            ), P
+
+    @pytest.mark.parametrize("P", [2521, 3511])
+    def test_spot_primes(self, P):
+        assert _rows(enumerate_all_solutions(P)) == _rows(_range_scan_reference(P))
+
+    @settings(max_examples=20, deadline=None)
+    @given(P=st.sampled_from(PRIMES_1000_2000), distinct_only=st.booleans())
+    def test_primes_1000_to_2000(self, P, distinct_only):
+        assert _rows(enumerate_all_solutions(P, distinct_only)) == _rows(
+            _range_scan_reference(P, distinct_only)
+        )
 
 
 def test_solutions_verify_and_classify_up_to_1000(oracle, primes_up_to):

@@ -44,6 +44,43 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _serp_imports(tree):
+    """Names of the serp modules a module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("serp.")}
+            found |= {"serp" for a in node.names if a.name == "serp"}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "serp":
+                continue
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found |= {a.name for a in node.names}
+    return found
+
+
+def test_oracle_is_independent_of_the_engines():
+    # The oracle audits ed1, ed2, sieve, lattice, bridge, tables and
+    # explicit, so it may build only on the exact primitives.
+    path = SRC / "oracle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _serp_imports(tree) <= {"arith", "errors", "solution"}
+
+
+def test_serp_imports_sees_every_import_form():
+    tree = ast.parse(
+        "import serp\nimport serp.ed1\nfrom serp import ed2\nfrom serp.sieve import x\n"
+        "from . import lattice\nfrom .bridge import y\nfrom .tables.sub import z\n"
+        "import json\nfrom math import gcd\n"
+    )
+    assert _serp_imports(tree) == {"serp", "ed1", "ed2", "sieve", "lattice", "bridge", "tables"}
+
+
 def test_invariant_checks_run_under_python_O():
     path = os.pathsep.join([str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run(
