@@ -1,6 +1,10 @@
 """Exact integer primitives: primality, modular arithmetic, CRT, Jacobi
-symbols, trial-division factorization, divisor enumeration and the
-squarefree split.
+symbols, factorization, divisor enumeration and the squarefree split.
+
+is_prime is Miller-Rabin with as many fixed witnesses as are proven
+enough for n; factorize strips the primes below 1000 and splits the
+rest with Brent's rho.  Both are exact up to ~3.3e24 (the last proven
+witness bound) and raise ValueError for an undecided input past it.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -9,36 +13,57 @@ Everything works on plain Python integers (arbitrary precision) plus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import EvenModulus, InconsistentCongruence, NotInvertible
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Miller-Rabin with the first 12 primes as witnesses is deterministic
-# below this bound (Sorenson & Webster).
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# (psi_k, k): Miller-Rabin with the first k primes as witnesses is
+# deterministic for n < psi_k, the least strong pseudoprime to all of them.
+# psi_1..psi_4: Pomerance, Selfridge & Wagstaff (Math. Comp. 35, 1980);
+# psi_5..psi_8: Jaeschke (Math. Comp. 61, 1993); psi_9..psi_11: Jiang &
+# Deng (Math. Comp. 83, 2014); psi_12, psi_13: Sorenson & Webster (Math.
+# Comp. 86, 2017).  psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so those
+# counts have no row of their own.
+_MR_WITNESS_COUNTS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+MR_DETERMINISTIC_BOUND = _MR_WITNESS_COUNTS[-1][0]
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Trial division by the small primes, then Miller-Rabin with a fixed
-    witness set that is proven deterministic up to ~3.3e24.  Inputs past
-    that bound raise ValueError instead of degrading to a probabilistic
-    answer.
+    Trial division by the primes up to 41, then Miller-Rabin with the
+    first k primes as witnesses, k the least count proven for n (see
+    _MR_WITNESS_COUNTS): two witnesses below 1.37e6, all thirteen up to
+    ~3.3e24.  Inputs past that bound raise ValueError instead of
+    degrading to a probabilistic answer.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    if n >= _MR_DETERMINISTIC_BOUND:
+    for bound, k in _MR_WITNESS_COUNTS:
+        if n < bound:
+            break
+    else:
         raise ValueError(f"{n} exceeds the deterministic primality range")
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -133,47 +158,82 @@ class Factorization:
         )
 
 
-_WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between units mod 30 from 7
+# factorize divides out every prime below _TRIAL_LIMIT before any
+# primality question, so a cofactor below _TRIAL_LIMIT**2 is prime.  One
+# gcd with their product tells which of them divide n.
+_TRIAL_LIMIT = 1000
+_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if is_prime(p))
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+_RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
+
+
+def _brent_factor(n: int) -> int:
+    """A proper factor of n, which must be composite and odd (Brent 1980).
+
+    Pollard's rho on x -> x*x + c with Brent's cycle search and one gcd
+    per batch of differences.  c runs 1, 2, ... and the start is fixed,
+    so the factor found is the same on every run.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def factorize(n: int) -> Factorization:
-    """Trial-division factorization with an is_prime short-circuit.
+    """Prime factorization of n >= 1, factors in increasing order.
 
-    Both engines factor once and list the divisors they need in one
-    residue class with Factorization.divisors_in_class.  Meant for
-    desk-scale n (up to ~1e12); larger inputs take as long as the sqrt
-    scan does, unless what is left is prime.  A cofactor past the
-    deterministic primality range raises ValueError.
+    Strips the primes below _TRIAL_LIMIT, then splits what is left with
+    Brent's rho until every part is prime.  is_prime is asked only about
+    parts of at least _TRIAL_LIMIT**2; smaller ones have no factor left
+    to find.  A part past the deterministic primality range (~3.3e24)
+    raises ValueError.  Both engines factor once and list the divisors
+    they need in one residue class with Factorization.divisors_in_class.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
-    factors: list[tuple[int, int]] = []
-
-    def strip(p: int) -> None:
-        nonlocal m
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-
-    for p in (2, 3, 5):
-        strip(p)
-    # A prime cofactor ends the scan, whether it is left after the wheel
-    # primes 2, 3, 5 or after a later strip.
-    p, i = 7, 0
-    done = is_prime(m)
-    while not done and p * p <= m:
-        if m % p == 0:
-            strip(p)
-            done = is_prime(m)
-        p += _WHEEL_GAPS[i]
-        i = (i + 1) & 7
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    counts: dict[int, int] = {}
+    g = gcd(m, _TRIAL_PRODUCT)
+    for p in _TRIAL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            counts[p] = e
+    parts = [m] if m > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _brent_factor(m)
+            parts += (d, m // d)
+    return Factorization(n, tuple(sorted(counts.items())))
 
 
 def divisors(n: int) -> list[int]:

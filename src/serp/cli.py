@@ -21,7 +21,7 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .arith import is_prime
+from .arith import MR_DETERMINISTIC_BOUND, is_prime
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
 from .ed2 import default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError
@@ -103,13 +103,22 @@ def _emit_solutions(solutions: list[Solution], fmt: str, out) -> None:
         _emit((s.as_dict() for s in solutions), SOLUTION_COLUMNS, fmt, out)
 
 
-def _bound(flag_value, env_name: str, default: int) -> int:
+def _bound(flag_value, env_name: str) -> int | None:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(env_name)
-    if env:
-        return int(env)
-    return default
+    return int(env) if env else None
+
+
+def _fixed_bounds(args) -> tuple[int | None, int | None]:
+    """(gamma_max, delta_max) set by flag, else by environment; None if neither."""
+    return _bound(args.gamma_max, "SERP_GAMMA_MAX"), _bound(args.delta_max, "SERP_DELTA_MAX")
+
+
+def _bounds_for(P: int, gamma_fixed: int | None, delta_fixed: int | None) -> tuple[int, int]:
+    """(gamma_max, delta_max) for P: each fixed bound, else P's default."""
+    return (default_gamma_max(P) if gamma_fixed is None else gamma_fixed,
+            default_delta_max(P) if delta_fixed is None else delta_fixed)
 
 
 def _first_ed2(P: int, delta_max: int):
@@ -160,8 +169,7 @@ def cmd_decompose(args, out) -> int:
     P = args.P
     if not is_prime(P):
         raise SerpError(f"P = {P} is not prime; decompose needs a prime")
-    gamma_max = _bound(args.gamma_max, "SERP_GAMMA_MAX", default_gamma_max(P))
-    delta_max = _bound(args.delta_max, "SERP_DELTA_MAX", default_delta_max(P))
+    gamma_max, delta_max = _bounds_for(P, *_fixed_bounds(args))
     solutions = _decompose(P, args.method, gamma_max, delta_max, args.all, args.weak)
     if not solutions:
         print(
@@ -191,7 +199,12 @@ def cmd_verify(args, out) -> int:
 def cmd_scan(args, out) -> int:
     if args.to < getattr(args, "from"):
         raise SerpError("--to must be >= --from")
-    gamma_flag, delta_flag = args.gamma_max, args.delta_max
+    if args.to >= MR_DETERMINISTIC_BOUND:
+        raise SerpError(
+            f"--to must be below {MR_DETERMINISTIC_BOUND}, "
+            "the end of the deterministic primality range"
+        )
+    fixed = _fixed_bounds(args)  # read once; only the defaults depend on P
     solutions = []
     misses = []
     for P in range(max(getattr(args, "from"), 2), args.to + 1):
@@ -202,8 +215,7 @@ def cmd_scan(args, out) -> int:
             continue
         if args.method == "ed1" and residue != 1:
             continue
-        gamma_max = _bound(gamma_flag, "SERP_GAMMA_MAX", default_gamma_max(P))
-        delta_max = _bound(delta_flag, "SERP_DELTA_MAX", default_delta_max(P))
+        gamma_max, delta_max = _bounds_for(P, *fixed)
         found = _decompose(P, args.method, gamma_max, delta_max, False, args.weak)
         if found:
             solutions += found

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from serp._kernels import prime_mask
 from serp.arith import (
+    _MR_WITNESS_COUNTS,
+    MR_DETERMINISTIC_BOUND,
     crt_combine,
     divisors,
     euler_phi,
@@ -21,6 +23,30 @@ from serp.errors import EvenModulus, InconsistentCongruence, NotInvertible
 
 def brute_divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round for odd n > a: True if n passes to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# composites that pass Fermat or Miller-Rabin to some small bases
+PSEUDOPRIMES = (
+    561, 1105, 1729, 2047, 2465, 2821, 6601, 8911, 1373653, 25326001,
+    3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
 
 
 class TestIsPrime:
@@ -54,6 +80,42 @@ class TestIsPrime:
     def test_large_primes_in_range(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)  # = 3 * 768614336404564651
+
+    def test_witness_bounds_are_least_strong_pseudoprimes(self):
+        # psi_k fails the test although it passes to the first k primes;
+        # the last psi_k is the bound itself and is rejected as undecided
+        for (psi, k), (_, k_next) in zip(_MR_WITNESS_COUNTS, _MR_WITNESS_COUNTS[1:]):
+            assert all(strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k]), psi
+            assert not is_prime(psi), psi
+            assert not all(strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k_next])
+        assert MR_DETERMINISTIC_BOUND == _MR_WITNESS_COUNTS[-1][0]
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            is_prime(MR_DETERMINISTIC_BOUND)
+
+    def test_psi_12_is_composite(self):
+        psi12 = 318_665_857_834_031_151_167_461
+        assert not is_prime(psi12)
+        assert factorize(psi12).factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_pseudoprimes_match_sympy(self, sympy):
+        for n in PSEUDOPRIMES:
+            assert not sympy.isprime(n)
+            assert not is_prime(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 10**7),
+            st.integers(0, _MR_WITNESS_COUNTS[-2][0] - 1),
+            st.sampled_from([psi for psi, _ in _MR_WITNESS_COUNTS[:-1]]).flatmap(
+                lambda psi: st.integers(psi - 1000, psi + 1000).filter(
+                    lambda n: n < _MR_WITNESS_COUNTS[-2][0]
+                )
+            ),
+        )
+    )
+    def test_matches_sympy_below_psi_12(self, sympy, n):
+        assert is_prime(n) == sympy.isprime(n), n
 
     def test_beyond_deterministic_range(self):
         # numbers with small factors are still decided at any size
@@ -223,6 +285,29 @@ class TestFactorize:
         q = 10_000_000_000_000_061
         assert factorize(q).factors == ((q, 1),)
         assert factorize(2 * q).factors == ((2, 1), (q, 1))
+
+    def test_prime_power_above_trial_bound(self):
+        assert factorize(41**16).factors == ((41, 16),)
+        assert factorize(1_000_003**3).factors == ((1_000_003, 3),)
+        assert factorize(3 * 4_294_967_291**2).factors == ((3, 1), (4_294_967_291, 2))
+        assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10**18))
+    def test_matches_sympy_below_1e18(self, sympy, n):
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1010, 10**9), st.integers(1010, 10**9))
+    def test_semiprimes_match_sympy(self, sympy, a, b):
+        n = sympy.prevprime(a) * sympy.prevprime(b)
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1010, 10**6), st.integers(2, 3), st.integers(1, 1000))
+    def test_prime_powers_match_sympy(self, sympy, a, k, cofactor):
+        n = cofactor * sympy.prevprime(a) ** k
+        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
 
     def test_cofactor_past_primality_range_is_rejected(self):
         # no prime factor <= 37, and too large for deterministic Miller-Rabin

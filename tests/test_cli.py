@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+import serp.cli as cli_mod
+from serp.arith import MR_DETERMINISTIC_BOUND
 from serp.cli import main
 
 
@@ -66,6 +69,14 @@ class TestDecompose:
     def test_composite_rejected(self):
         code, _ = run_cli("decompose", "4")
         assert code == 2
+
+    def test_strong_pseudoprime_to_first_twelve_primes_rejected(self, capsys):
+        # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the
+        # bases 2..37; it must not be searched as if it were prime
+        code, out = run_cli("decompose", "318665857834031151167461")
+        assert code == 2
+        assert out == ""
+        assert "not prime" in capsys.readouterr().err
 
     def test_wrong_residue_for_explicit(self):
         code, _ = run_cli("decompose", "11", "--method", "explicit")
@@ -158,6 +169,70 @@ class TestScan:
     def test_bad_range(self):
         code, _ = run_cli("scan", "--from", "10", "--to", "5")
         assert code == 2
+
+    # sha256 of `scan --from 7 --to 20000` stdout, recorded before the
+    # bounds were read once per scan instead of once per prime
+    SCAN_20000_SHA256 = {
+        (None, "json"): "c6b320614d9f07c49a3535846571b4b83aef09c56a537f2b4f70d6fa374fb712",
+        (None, "csv"): "f70300cf4918a3835602ae8c465cd453e717008344aaa67b5aaa98f190fea265",
+        (None, "table"): "306b3531ed4a97464b973f3cdae8a14581e93d8eac122e6d139aafb14e5d474b",
+        ("3", "json"): "80c6d1516f559d0b37124c3fbf51c38c87405bf49977914e7829743be1c4e463",
+        ("3", "csv"): "ed983b0f2381933574dfae59204fb4dd801c0e11b4390757ee33f04f32c618f2",
+        ("3", "table"): "ac3558d16d263ee534a53007aa1e2b370b3398f82eb87d19c6a85960884a2c11",
+    }
+
+    @pytest.mark.parametrize("env_delta, fmt", sorted(SCAN_20000_SHA256, key=str))
+    def test_scan_output_is_pinned(self, monkeypatch, env_delta, fmt):
+        if env_delta is None:
+            monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
+        else:
+            monkeypatch.setenv("SERP_DELTA_MAX", env_delta)
+        monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
+        code, out = run_cli("scan", "--from", "7", "--to", "20000", "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.SCAN_20000_SHA256[env_delta, fmt]
+
+    def test_env_bound_equals_flag_bound(self, monkeypatch):
+        monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
+        monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
+        _, by_flag = run_cli("scan", "--from", "7", "--to", "3000", "--delta-max", "3")
+        monkeypatch.setenv("SERP_DELTA_MAX", "3")
+        _, by_env = run_cli("scan", "--from", "7", "--to", "3000")
+        _, wider = run_cli("scan", "--from", "7", "--to", "3000", "--delta-max", "3000")
+        assert by_env == by_flag != wider
+
+    def test_environment_read_once_per_scan(self, monkeypatch):
+        reads = []
+
+        class CountingEnviron(dict):
+            def get(self, key, default=None):
+                if key.startswith("SERP_"):
+                    reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(cli_mod.os, "environ", CountingEnviron())
+        code, out = run_cli("scan", "--from", "7", "--to", "2000", "--format", "json")
+        assert code == 0 and len(json_lines(out)) == 300  # the primes in [7, 2000]
+        assert sorted(reads) == ["SERP_DELTA_MAX", "SERP_GAMMA_MAX"]
+
+    @pytest.mark.parametrize("to", [MR_DETERMINISTIC_BOUND, 10**30])
+    def test_range_past_primality_bound_fails_first(self, monkeypatch, capsys, to):
+        def refuse(n):
+            raise AssertionError(f"scan tested {n} before checking --to")
+
+        monkeypatch.setattr(cli_mod, "is_prime", refuse)
+        code, out = run_cli("scan", "--from", "7", "--to", str(to))
+        assert code == 2
+        assert out == ""
+        assert "deterministic primality range" in capsys.readouterr().err
+
+    def test_range_just_below_primality_bound_runs(self):
+        code, out = run_cli(
+            "scan", "--from", str(MR_DETERMINISTIC_BOUND - 3),
+            "--to", str(MR_DETERMINISTIC_BOUND - 1),
+        )
+        assert code == 0 and out == ""
 
 
 class TestSieve:
