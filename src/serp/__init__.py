@@ -1,5 +1,11 @@
 """Exact search, classification and audit tools for unit-fraction
-decompositions 5/P = 1/A + 1/B + 1/C over primes P."""
+decompositions 5/P = 1/A + 1/B + 1/C over primes P.
+
+serp.sieve needs numpy, so its names are served on first use (PEP 562)
+and `import serp` stays free of numpy.
+"""
+
+from importlib import import_module
 
 from .arith import (
     Factorization,
@@ -37,16 +43,6 @@ from .lattice import (
     xy_transform,
 )
 from .oracle import OracleEnumeration, enumerate_all_solutions
-from .sieve import (
-    ProgressionClass,
-    ScanReport,
-    average_local_params,
-    build_progression_class,
-    count_local_params,
-    exceptional_set,
-    reconstruct_from_class,
-    scan_class_primes,
-)
 from .solution import (
     MultiplicityClass,
     Solution,
@@ -57,6 +53,23 @@ from .solution import (
     verify_solution,
 )
 from .tables import ErrataEntry, TABLES, audit_table
+
+_SIEVE_NAMES = frozenset({
+    "ProgressionClass",
+    "ScanReport",
+    "average_local_params",
+    "build_progression_class",
+    "count_local_params",
+    "exceptional_set",
+    "reconstruct_from_class",
+    "scan_class_primes",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIEVE_NAMES:
+        return getattr(import_module(".sieve", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,14 @@
-"""Exact integer primitives: primality, modular arithmetic, CRT, Jacobi
-symbols, factorization, divisor enumeration and the squarefree split.
+"""Exact integer primitives: primality, prime windows, modular
+arithmetic, CRT, Jacobi symbols, factorization, divisor enumeration and
+the squarefree split.
 
 is_prime is Miller-Rabin with as many fixed witnesses as are proven
 enough for n; factorize strips the primes below 1000 and splits the
-rest with Brent's rho.  Both are exact up to ~3.3e24 (the last proven
-witness bound) and raise ValueError for an undecided input past it.
+rest with Brent's rho; primes_between sieves a window by the same
+primes below 1000, one bytearray segment at a time, and hands only the
+survivors of at least 1e6 to is_prime.  All three are exact up to
+~3.3e24 (the last proven witness bound) and raise ValueError for an
+undecided input past it.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -12,7 +16,9 @@ Everything works on plain Python integers (arbitrary precision) plus
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, prod
 
 from .errors import EvenModulus, InconsistentCongruence, NotInvertible
@@ -164,6 +170,8 @@ class Factorization:
 _TRIAL_LIMIT = 1000
 _TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if is_prime(p))
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
+_TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
+_SEGMENT = 1 << 16  # integers per primes_between segment
 _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
 
 
@@ -228,12 +236,39 @@ def factorize(n: int) -> Factorization:
     parts = [m] if m > 1 else []
     while parts:
         m = parts.pop()
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
+        if m < _TRIAL_SQUARE or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
         else:
             d = _brent_factor(m)
             parts += (d, m // d)
     return Factorization(n, tuple(sorted(counts.items())))
+
+
+def primes_between(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p <= hi, ascending, as a generator.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977):
+    each segment of _SEGMENT integers is a bytearray in which the
+    multiples of the primes below _TRIAL_LIMIT, from their squares on,
+    are struck.  A survivor below _TRIAL_LIMIT**2 is prime; a larger
+    one is asked of is_prime.  Memory stays at one segment whatever the
+    range, and the generator yields each segment's primes before it
+    sieves the next.
+    """
+    lo = max(lo, 2)
+    while lo <= hi:
+        top = min(lo + _SEGMENT, hi + 1)  # this segment is [lo, top)
+        size = top - lo
+        seg = bytearray(b"\x01") * size
+        for p in _TRIAL_PRIMES:
+            if p * p >= top:
+                break
+            offset = max(p * p, -(-lo // p) * p) - lo
+            seg[offset::p] = bytes(len(range(offset, size, p)))
+        for n in compress(range(lo, top), seg):
+            if n < _TRIAL_SQUARE or is_prime(n):
+                yield n
+        lo = top
 
 
 def divisors(n: int) -> list[int]:

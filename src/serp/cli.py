@@ -6,7 +6,10 @@ classes), stats (density report) and table (published-row audit with
 errata).  Output is deterministic for fixed argv: JSON lines when
 stdout is not a TTY, an aligned table when it is, CSV on request.
 Every subcommand builds plain records and hands them to _emit, the one
-place that knows the three formats.
+place that knows the three formats.  json and csv are written record by
+record, so a scan streams its solutions; only the table waits for the
+last record, because it needs the column widths.  numpy is imported by
+sieve and stats alone, when they run.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation.
@@ -21,12 +24,11 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .arith import MR_DETERMINISTIC_BOUND, is_prime
+from .arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
 from .ed2 import default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError
 from .explicit import decompose_explicit, repair_distinct
-from .sieve import average_local_params, class_scans, reconstruct_from_class
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
 from .tables import ROW_COLUMNS, TABLE_IDS, TABLES, audit_table, row_from_bc
 
@@ -57,18 +59,20 @@ def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
 
     json writes each whole record as a compact, key-sorted line; csv and
     table write the given columns, a missing key or None as an empty
-    cell and a nested value as its JSON text.
+    cell and a nested value as its JSON text.  json and csv write each
+    record as it comes; the table reads them all first, for the widths.
     """
     if fmt == "json":
         for record in records:
             out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
         return
-    cells = [[_cell(r.get(c)) for c in columns] for r in records]
+    rows = ([_cell(r.get(c)) for c in columns] for r in records)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(cells)
+        writer.writerows(rows)
         return
+    cells = list(rows)
     widths = [max([len(c)] + [len(row[i]) for row in cells]) for i, c in enumerate(columns)]
     for row in [list(columns)] + cells:
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
@@ -91,16 +95,22 @@ def _solution_table_row(idx: int, sol: Solution) -> dict:
     return row
 
 
-def _emit_solutions(solutions: list[Solution], fmt: str, out) -> None:
-    for sol in solutions:
-        if not verify_solution(sol.P, sol.A, sol.B, sol.C):  # no unchecked output
-            raise InvariantViolation(f"unverified solution reached output: {sol}")
+def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
+    """Write solutions as they come, each verified just before (no
+    unchecked output).  Generators throughout, so json and csv output
+    holds no solution past its own line."""
+
+    def checked():
+        for sol in solutions:
+            if not verify_solution(sol.P, sol.A, sol.B, sol.C):
+                raise InvariantViolation(f"unverified solution reached output: {sol}")
+            yield sol
+
     if fmt == "csv":
-        rows = [_solution_table_row(i, s) for i, s in enumerate(solutions, start=1)]
+        rows = (_solution_table_row(i, s) for i, s in enumerate(checked(), start=1))
         _emit(rows, SOLUTION_CSV_COLUMNS, fmt, out)
     else:
-        # a generator, so json output does not hold a dict per solution
-        _emit((s.as_dict() for s in solutions), SOLUTION_COLUMNS, fmt, out)
+        _emit((s.as_dict() for s in checked()), SOLUTION_COLUMNS, fmt, out)
 
 
 def _bound(flag_value, env_name: str) -> int | None:
@@ -142,6 +152,8 @@ def _decompose(P: int, method: str, gamma_max: int, delta_max: int,
     residue = P % 5
     if residue == 0:
         raise SerpError(f"P = {P} is out of scope (5 divides P)")
+    if P == 2:
+        raise SerpError("P = 2 is out of scope (no three distinct unit fractions sum to 5/2)")
     if method == "explicit" or (method == "auto" and residue != 1):
         sol = decompose_explicit(P)  # raises WrongResidue when residue is 1
         if not weak:
@@ -205,23 +217,25 @@ def cmd_scan(args, out) -> int:
             "the end of the deterministic primality range"
         )
     fixed = _fixed_bounds(args)  # read once; only the defaults depend on P
-    solutions = []
     misses = []
-    for P in range(max(getattr(args, "from"), 2), args.to + 1):
-        if P == 5 or not is_prime(P):
-            continue
-        residue = P % 5
-        if args.method == "explicit" and residue == 1:
-            continue
-        if args.method == "ed1" and residue != 1:
-            continue
-        gamma_max, delta_max = _bounds_for(P, *fixed)
-        found = _decompose(P, args.method, gamma_max, delta_max, False, args.weak)
-        if found:
-            solutions += found
-        else:
-            misses.append(P)
-    _emit_solutions(solutions, _pick_format(args), out)
+
+    def solutions():
+        for P in primes_between(getattr(args, "from"), args.to):
+            if P in (2, 5):  # out of scope, see _decompose
+                continue
+            residue = P % 5
+            if args.method == "explicit" and residue == 1:
+                continue
+            if args.method == "ed1" and residue != 1:
+                continue
+            gamma_max, delta_max = _bounds_for(P, *fixed)
+            found = _decompose(P, args.method, gamma_max, delta_max, False, args.weak)
+            if found:
+                yield from found
+            else:
+                misses.append(P)
+
+    _emit_solutions(solutions(), _pick_format(args), out)
     if misses:
         print(f"no solution within bounds for: {misses}", file=sys.stderr)
         return 1
@@ -229,6 +243,8 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_sieve(args, out) -> int:
+    from .sieve import class_scans, reconstruct_from_class  # numpy loads here
+
     rows = []
     primes, scans = class_scans(args.xmax, args.rmax, args.delta)
     for cls, hits in scans:
@@ -256,6 +272,8 @@ def cmd_sieve(args, out) -> int:
 
 
 def cmd_stats(args, out) -> int:
+    from .sieve import average_local_params  # numpy loads here
+
     report = average_local_params(args.x, args.rmax, args.delta)
     fmt = _pick_format(args)
     if fmt == "table":

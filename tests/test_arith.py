@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from serp import arith
 from serp._kernels import prime_mask
 from serp.arith import (
     _MR_WITNESS_COUNTS,
@@ -16,6 +17,7 @@ from serp.arith import (
     is_prime,
     jacobi_symbol,
     mod_inverse,
+    primes_between,
     squarefree_split,
 )
 from serp.errors import EvenModulus, InconsistentCongruence, NotInvertible
@@ -122,6 +124,61 @@ class TestIsPrime:
         assert not is_prime(10**25)
         with pytest.raises(ValueError):
             is_prime(2**89 - 1)  # no small factors, above the witness bound
+
+
+def primes_by_is_prime(lo, hi):
+    return [n for n in range(max(lo, 0), hi + 1) if is_prime(n)]
+
+
+class TestPrimesBetween:
+    def test_edges(self):
+        assert list(primes_between(-10, 1)) == []
+        assert list(primes_between(0, 2)) == [2]
+        assert list(primes_between(2, 2)) == [2]
+        assert list(primes_between(4, 4)) == []
+        assert list(primes_between(1_000_003, 1_000_003)) == [1_000_003]
+        assert list(primes_between(100, 10)) == []
+        assert list(primes_between(-5, 30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_matches_is_prime_to_1e5(self):
+        assert list(primes_between(0, 10**5)) == primes_by_is_prime(0, 10**5)
+
+    def test_survivors_past_1e6_go_to_is_prime(self):
+        # 1009 * 1013 has no prime factor below 1000, so the sieve keeps it
+        n = 1009 * 1013
+        assert list(primes_between(n - 100, n + 100)) == primes_by_is_prime(n - 100, n + 100)
+        assert n not in primes_between(n, n)
+
+    def test_window_just_below_primality_bound(self):
+        lo, hi = MR_DETERMINISTIC_BOUND - 2000, MR_DETERMINISTIC_BOUND - 1
+        assert list(primes_between(lo, hi)) == primes_by_is_prime(lo, hi)
+
+    def test_lazy(self):
+        # the first prime comes out before any later segment is sieved
+        assert next(primes_between(10**18, 10**24)) == 10**18 + 3
+
+    @pytest.mark.parametrize("segment", [1, 2, 10, 97])
+    def test_small_segments(self, monkeypatch, segment):
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        assert list(primes_between(0, 3000)) == primes_by_is_prime(0, 3000)
+        lo = 10**6 - 500
+        assert list(primes_between(lo, lo + 1000)) == primes_by_is_prime(lo, lo + 1000)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        lo=st.one_of(
+            st.integers(-5, 3000),
+            st.integers(0, 3 * 10**6),
+            st.integers(10**12, 10**12 + 10**6),
+        ),
+        width=st.integers(-3, 1500),
+        segment=st.sampled_from([3, 64, 1000, arith._SEGMENT]),
+    )
+    def test_matches_is_prime_on_random_windows(self, lo, width, segment):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_SEGMENT", segment)
+            got = list(primes_between(lo, lo + width))
+        assert got == primes_by_is_prime(lo, lo + width)
 
 
 class TestModInverse:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import serp.cli as cli_mod
-from serp.arith import MR_DETERMINISTIC_BOUND
+from serp.arith import MR_DETERMINISTIC_BOUND, is_prime
 from serp.cli import main
 
 
@@ -85,6 +85,14 @@ class TestDecompose:
     def test_p5_rejected(self):
         code, _ = run_cli("decompose", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("method", ["auto", "explicit", "ed2"])
+    def test_p2_rejected(self, capsys, method):
+        # 1 + 1/2 + 1/3 = 11/6 < 5/2, the largest sum of three distinct unit fractions
+        code, out = run_cli("decompose", "2", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert "P = 2 is out of scope" in capsys.readouterr().err
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("SERP_DELTA_MAX", "1")
@@ -170,6 +178,44 @@ class TestScan:
         code, _ = run_cli("scan", "--from", "10", "--to", "5")
         assert code == 2
 
+    def test_range_containing_two(self):
+        code, out = run_cli("scan", "--from", "1", "--to", "100", "--format", "json")
+        assert code == 0
+        recs = json_lines(out)
+        assert recs[0]["P"] == 3
+        assert [r["P"] for r in recs] == [p for p in range(3, 101) if is_prime(p) and p != 5]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_records_stream(self, monkeypatch, fmt):
+        # json and csv records are written as each prime is decomposed;
+        # only the table waits for the last one, for its column widths
+        out = io.StringIO()
+        written = []
+        decompose = cli_mod._decompose
+
+        def spy(P, *args):
+            written.append((P, out.getvalue()))
+            return decompose(P, *args)
+
+        monkeypatch.setattr(cli_mod, "_decompose", spy)
+        assert main(["scan", "--from", "7", "--to", "100", "--format", fmt], out=out) == 0
+        last_P, before_last = written[-1]
+        assert last_P == 97
+        lines = out.getvalue().splitlines(keepends=True)
+        assert before_last == ("" if fmt == "table" else "".join(lines[:-1]))
+
+    def test_misses_come_after_every_record(self, monkeypatch):
+        # one stream for both, so the order of records and miss line shows
+        out = io.StringIO()
+        monkeypatch.setattr(cli_mod.sys, "stderr", out)
+        argv = ["scan", "--from", "7", "--to", "200", "--method", "ed1", "--gamma-max", "4"]
+        assert main(argv + ["--format", "json"], out=out) == 1
+        *records, miss = out.getvalue().splitlines()
+        assert miss == "no solution within bounds for: [31, 181]"
+        assert [r["P"] for r in json_lines("\n".join(records))] == [
+            11, 41, 61, 71, 101, 131, 151, 191,
+        ]
+
     # sha256 of `scan --from 7 --to 20000` stdout, recorded before the
     # bounds were read once per scan instead of once per prime
     SCAN_20000_SHA256 = {
@@ -218,10 +264,11 @@ class TestScan:
 
     @pytest.mark.parametrize("to", [MR_DETERMINISTIC_BOUND, 10**30])
     def test_range_past_primality_bound_fails_first(self, monkeypatch, capsys, to):
-        def refuse(n):
+        def refuse(*n):
             raise AssertionError(f"scan tested {n} before checking --to")
 
         monkeypatch.setattr(cli_mod, "is_prime", refuse)
+        monkeypatch.setattr(cli_mod, "primes_between", refuse)
         code, out = run_cli("scan", "--from", "7", "--to", str(to))
         assert code == 2
         assert out == ""

@@ -151,12 +151,19 @@ def test_class_reconstruction_agrees_with_pair_from_divisor(delta, k, data):
 
 
 @PROPS
-@given(P=st.integers(2, 10**5), delta=st.integers(1, 12), data=st.data())
-def test_row_from_bc_agrees_with_pair_from_divisor(P, delta, data):
-    N = 5 * P * delta + 1
-    ws = [w for r in factorize(N).divisors() if (w := pair_from_divisor(P, delta, r))]
+@given(P=st.integers(2, 10**5), data=st.data())
+def test_row_from_bc_agrees_with_pair_from_divisor(P, data):
+    # Witnesses over every delta <= 12 at once: about 4 in 5 single
+    # (P, delta) draws have none, which trips Hypothesis's filter check.
+    ws = [
+        w
+        for delta in range(1, 13)
+        for r in factorize(5 * P * delta + 1).divisors()
+        if (w := pair_from_divisor(P, delta, r))
+    ]
     assume(ws)
     w = data.draw(st.sampled_from(ws))
+    N = 5 * P * w.delta + 1
     for b, c in ((w.b, w.c), (w.c, w.b)):
         row = row_from_bc(P, b, c)
         assert (row["b"], row["c"], row["delta"], row["X"], row["Y"], row["N"]) == (

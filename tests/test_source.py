@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import serp
 from serp.cli import main
 
@@ -94,3 +96,50 @@ def test_invariant_checks_run_under_python_O():
     expected = io.StringIO()
     assert main(["decompose", "11", "--all", "--format", "json"], out=expected) == 0
     assert proc.stdout == expected.getvalue()
+
+
+# numpy is for the sieve alone: importing the rest of serp must not
+# load it, and the sieve subcommands load it when they run.
+IMPORT_GRAPH_SCRIPT = """
+import io
+import sys
+
+import serp
+import serp.bridge
+import serp.cli
+import serp.lattice
+import serp.oracle
+import serp.tables
+
+if "numpy" in sys.modules:
+    sys.exit("numpy loaded by import")
+if serp.cli.main(["stats", "--x", "100", "--rmax", "4", "--delta", "1"], out=io.StringIO()):
+    sys.exit("stats failed")
+if "numpy" not in sys.modules:
+    sys.exit("numpy not loaded by stats")
+import serp.sieve
+if serp.average_local_params is not serp.sieve.average_local_params:
+    sys.exit("serp.average_local_params is not the sieve's")
+names = {}
+exec("from serp import *", names)
+missing = sorted(set(serp.__all__) - set(names))
+if missing:
+    sys.exit(f"not bound by import *: {missing}")
+"""
+
+
+def test_numpy_loads_only_for_the_sieve():
+    path = os.pathsep.join([str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        serp.no_such_name
