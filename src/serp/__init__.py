@@ -10,11 +10,9 @@ from importlib import import_module
 from .arith import (
     Factorization,
     crt_combine,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
-    jacobi_symbol,
     mod_inverse,
     squarefree_split,
 )
@@ -24,7 +22,6 @@ from .ed2 import (
     Ed2Witness,
     NormalizedEd2,
     default_delta_max,
-    ed2_backtest,
     ed2_case_a,
     ed2_normalize,
     ed2_reconstruct,
@@ -33,14 +30,11 @@ from .ed2 import (
 )
 from .explicit import decompose_explicit, repair_distinct
 from .lattice import (
-    BoxSpec,
     SublatticeClass,
     class_count_in_box,
     delta_window_bound,
     delta_window_count,
     lattice_search_m,
-    xy_inverse,
-    xy_transform,
 )
 from .oracle import OracleEnumeration, enumerate_all_solutions
 from .solution import (
@@ -49,7 +43,6 @@ from .solution import (
     SolutionClass,
     classify_solution,
     make_solution,
-    min_denominator_bounds,
     verify_solution,
 )
 from .tables import ErrataEntry, TABLES, audit_table
@@ -59,8 +52,6 @@ _SIEVE_NAMES = frozenset({
     "ScanReport",
     "average_local_params",
     "build_progression_class",
-    "count_local_params",
-    "exceptional_set",
     "reconstruct_from_class",
     "scan_class_primes",
 })
@@ -74,7 +65,6 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxSpec",
     "BridgeResult",
     "Ed1Witness",
     "Ed2Witness",
@@ -96,18 +86,15 @@ __all__ = [
     "class_count_in_box",
     "classify_solution",
     "convolve_ed2_to_ed1",
-    "count_local_params",
     "crt_combine",
     "decompose_explicit",
     "default_delta_max",
     "default_gamma_max",
     "delta_window_bound",
     "delta_window_count",
-    "divisors",
     "ed1_candidates",
     "ed1_reconstruct",
     "ed1_search",
-    "ed2_backtest",
     "ed2_case_a",
     "ed2_normalize",
     "ed2_reconstruct",
@@ -115,19 +102,14 @@ __all__ = [
     "ed2_witness_row",
     "enumerate_all_solutions",
     "euler_phi",
-    "exceptional_set",
     "factorize",
     "is_prime",
-    "jacobi_symbol",
     "lattice_search_m",
     "make_solution",
-    "min_denominator_bounds",
     "mod_inverse",
     "reconstruct_from_class",
     "repair_distinct",
     "scan_class_primes",
     "squarefree_split",
     "verify_solution",
-    "xy_inverse",
-    "xy_transform",
 ]

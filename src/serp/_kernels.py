@@ -1,9 +1,9 @@
 """Prime-sieve kernels in numpy.
 
-Full boolean masks are used up to _FULL_MASK_LIMIT; above that,
-class_primes switches to a segmented sieve that walks the residue class
-with stride = modulus, so memory stays at one segment regardless of the
-scan limit.
+prime_mask is a cached full boolean mask; class_primes takes its base
+primes up to sqrt(limit) from it and then sieves [2, limit] one segment
+at a time, walking the residue class with stride = modulus, so memory
+stays at one segment's class members regardless of the scan limit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from math import isqrt
 import numpy as np
 
 SEGMENT = 1 << 20
-_FULL_MASK_LIMIT = 10**6
 
 _mask_cache: dict[int, np.ndarray] = {}
 
@@ -21,23 +20,26 @@ _mask_cache: dict[int, np.ndarray] = {}
 def _class_primes_segmented(
     residue: int, modulus: int, limit: int, base: np.ndarray, segment: int
 ) -> np.ndarray:
+    # Only the class members are sieved.  The members of [lo, hi) that a
+    # base prime p divides are every p-th one (p coprime to modulus) or
+    # all or none of them (p | modulus); each p strikes from p*p on.
+    strikes = [(p, p * p, pow(modulus, -1, p) if modulus % p else None) for p in map(int, base)]
     chunks = []
     lo = 2
     while lo <= limit:
         hi = min(lo + segment, limit + 1)
-        seg = np.ones(hi - lo, dtype=np.bool_)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
         first = lo + (residue - lo) % modulus
         members = np.arange(first, hi, modulus, dtype=np.int64)
-        if members.size:
-            chunks.append(members[seg[members - lo]])
+        keep = np.ones(members.size, dtype=np.bool_)
+        for p, square, inverse in strikes:
+            k = max(0, -((first - square) // modulus))  # first member >= p*p
+            m = first + k * modulus
+            if inverse is not None:
+                keep[k + -m * inverse % p :: p] = False
+            elif m % p == 0:
+                keep[k:] = False
+        chunks.append(members[keep])
         lo = hi
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
     return np.concatenate(chunks)
 
 
@@ -61,21 +63,11 @@ def prime_mask(limit: int) -> np.ndarray:
 
 
 def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:
-    """Primes p <= limit with p = residue (mod modulus), ascending int64.
-
-    Full-mask slicing below _FULL_MASK_LIMIT, segmented sieve above it.
-    """
+    """Primes p <= limit with p = residue (mod modulus), ascending int64."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     residue %= modulus
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit <= _FULL_MASK_LIMIT:
-        mask = prime_mask(limit)
-        first = residue if residue >= 2 else residue + modulus * (
-            (2 - residue + modulus - 1) // modulus
-        )
-        members = np.arange(first, limit + 1, modulus, dtype=np.int64)
-        return members[mask[members]]
     base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
     return _class_primes_segmented(residue, modulus, limit, base, SEGMENT)

@@ -1,6 +1,6 @@
 """Exact integer primitives: primality, prime windows, modular
-arithmetic, CRT, Jacobi symbols, factorization, divisor enumeration and
-the squarefree split.
+arithmetic, CRT, factorization, divisor enumeration and the squarefree
+split.
 
 is_prime is Miller-Rabin with as many fixed witnesses as are proven
 enough for n; factorize strips the primes below 1000 and splits the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
 
-from .errors import EvenModulus, InconsistentCongruence, NotInvertible
+from .errors import InconsistentCongruence, NotInvertible
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -113,24 +113,6 @@ def crt_combine(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
         return r1 % lcm, lcm
     t = (r2 - r1) // g % m2g * mod_inverse(m1 // g, m2g) % m2g
     return (r1 + m1 * t) % lcm, lcm
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n >= 1; Legendre symbol when n is prime."""
-    if n < 1 or n % 2 == 0:
-        raise EvenModulus(f"Jacobi symbol needs odd n >= 1, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 @dataclass(frozen=True)
@@ -269,11 +251,6 @@ def primes_between(lo: int, hi: int) -> Iterator[int]:
             if n < _TRIAL_SQUARE or is_prime(n):
                 yield n
         lo = top
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending, fully materialized."""
-    return factorize(n).divisors()
 
 
 def squarefree_split(delta: int) -> tuple[int, int]:

@@ -117,7 +117,12 @@ def _bound(flag_value, env_name: str) -> int | None:
     if flag_value is not None:
         return flag_value
     env = os.environ.get(env_name)
-    return int(env) if env else None
+    if not env:
+        return None
+    value = int(env)
+    if value < 1:
+        raise SerpError(f"{env_name} must be >= 1, got {value}")
+    return value
 
 
 def _fixed_bounds(args) -> tuple[int | None, int | None]:
@@ -353,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("P", type=int)
     p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
     p.add_argument("--all", action="store_true", help="emit every solution within bounds")
-    p.add_argument("--gamma-max", type=int, help="one-multiple search bound (env SERP_GAMMA_MAX)")
-    p.add_argument("--delta-max", type=int, help="two-multiple search bound (env SERP_DELTA_MAX)")
+    p.add_argument("--gamma-max", type=_positive_int, help="one-multiple search bound (env SERP_GAMMA_MAX)")
+    p.add_argument("--delta-max", type=_positive_int, help="two-multiple search bound (env SERP_DELTA_MAX)")
     p.add_argument("--weak", action="store_true", help="allow repeated denominators (skip repair)")
     add_format(p)
     p.set_defaults(func=cmd_decompose)
@@ -369,22 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
-    p.add_argument("--gamma-max", type=int)
-    p.add_argument("--delta-max", type=int)
+    p.add_argument("--gamma-max", type=_positive_int)
+    p.add_argument("--delta-max", type=_positive_int)
     p.add_argument("--weak", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("sieve", help="scan progression classes for primes")
     p.add_argument("--delta", type=_positive_int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--xmax", type=int, required=True)
+    p.add_argument("--rmax", type=_positive_int, required=True)
+    p.add_argument("--xmax", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("stats", help="density statistics N(P; R, delta)")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--x", type=_positive_int, required=True)
+    p.add_argument("--rmax", type=_positive_int, required=True)
     p.add_argument("--delta", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_stats)

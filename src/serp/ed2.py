@@ -143,40 +143,6 @@ def ed2_normalize(w: Ed2Witness) -> NormalizedEd2:
     return NormalizedEd2(g, bprime, cprime, alpha, dprime, m, canonical)
 
 
-def ed2_backtest(n: NormalizedEd2, P: int) -> bool:
-    """Re-validate an assembled row from its normalized coordinates.
-
-    Checks, in order: the 4 (mod 5) congruences of 5b-1 and 5c-1, the
-    divisibility delta | b*c, coprimality of (b', c'), the linear
-    relation b' + c' = m*dprime, the product relation A*alpha =
-    alpha^2*b'*c', integrality and consistency of A = b*c/delta, the
-    strict bounds P < 5A < 3P, and b != c.
-    """
-    b = n.g * n.bprime
-    c = n.g * n.cprime
-    delta = n.alpha * n.dprime**2
-    if b < 1 or c < 1 or delta < 1:
-        return False
-    if (5 * b - 1) % 5 != 4 or (5 * c - 1) % 5 != 4:
-        return False
-    if (b * c) % delta:
-        return False
-    if gcd(n.bprime, n.cprime) != 1:
-        return False
-    if n.bprime + n.cprime != n.m * n.dprime:
-        return False
-    if (n.m + P) % 5:
-        return False
-    A = (n.m + P) // 5
-    if A * n.alpha != n.alpha**2 * n.bprime * n.cprime:
-        return False
-    if b * c // delta != A:
-        return False
-    if not P < 5 * A < 3 * P:
-        return False
-    return b != c
-
-
 def ed2_witness_row(w: Ed2Witness) -> dict:
     """Wire form of a witness plus its normalization, keyed like the
     published tables (b', c' as bprime/cprime, d' as dprime)."""

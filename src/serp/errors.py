@@ -19,10 +19,6 @@ class InconsistentCongruence(SerpError):
     """CRT combination of two residue classes with empty intersection."""
 
 
-class EvenModulus(SerpError):
-    """Jacobi symbol requested for an even modulus."""
-
-
 class NotPrime(SerpError):
     """An operation that requires a prime P received a composite."""
 

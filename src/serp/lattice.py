@@ -1,12 +1,14 @@
-"""Lattice and box view of the two-multiple search.
+"""Lattice view of the two-multiple search.
 
-The coprime coordinates (b', c') map to (x, y) = (b'+c', c'-b'), turning
-the canonical conditions into linear ones: x = y (mod 2), x > y > 0,
-dprime | x, with x*x - y*y = 4*b'*c'.  Searching the box then reduces to
-walking the diagonals x = m*dprime, which lattice_search_m does by
-solving the quadratic for (b', c') exactly per m.  Also here: exact
-counts of shifted-sublattice points in a box, and the window bound for
-how many delta values can sit near the kernel surface.
+In the coprime coordinates (b', c') of a canonical ED2 row, the point
+(x, y) = (b'+c', c'-b') satisfies x = y (mod 2), x > y > 0, dprime | x
+and x*x - y*y = 4*b'*c', so the box B_k(T) of the paper is cut by the
+diagonals x = m*dprime, m = 5A - P.  lattice_search_m walks those
+diagonals and solves the quadratic for (b', c') exactly per m; with
+m < 2P its hits are exactly the canonical rows of ed2_search at
+delta = alpha*dprime**2 (tests/test_lattice.py pins this).  Also here: exact counts of shifted-sublattice points in a
+box, and the window bound for how many delta values can sit near the
+kernel surface.
 """
 
 from __future__ import annotations
@@ -15,48 +17,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import squarefree_split
-from .errors import ParityViolation
-
-
-def xy_transform(bprime: int, cprime: int) -> tuple[int, int]:
-    """(b', c') -> (x, y) = (b'+c', c'-b'); requires 0 < b' < c'."""
-    if not 0 < bprime < cprime:
-        raise ValueError(f"requires 0 < bprime < cprime, got ({bprime}, {cprime})")
-    return bprime + cprime, cprime - bprime
-
-
-def xy_inverse(x: int, y: int) -> tuple[int, int]:
-    """(x, y) -> (b', c') = ((x-y)/2, (x+y)/2); x and y must share parity."""
-    if (x - y) % 2:
-        raise ParityViolation(f"x = {x} and y = {y} have different parity")
-    if not 0 < y < x:
-        raise ValueError(f"requires 0 < y < x, got ({x}, {y})")
-    return (x - y) // 2, (x + y) // 2
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Box in (x, y): x = y (mod 2), x > y > 0, dprime | x, x, y <= 2T."""
-
-    T: int
-    dprime: int = 1
-    k: int = 2  # plane only
-
-    def contains(self, x: int, y: int) -> bool:
-        return (
-            x % 2 == y % 2
-            and x > y > 0
-            and x % self.dprime == 0
-            and x <= 2 * self.T
-            and y <= 2 * self.T
-        )
-
-    def points(self):
-        """All box points, row-major; test-scale sizes only."""
-        for x in range(self.dprime, 2 * self.T + 1, self.dprime):
-            for y in range(2 - x % 2, min(x, 2 * self.T + 1), 2):
-                if y < x:
-                    yield x, y
 
 
 @dataclass(frozen=True)
@@ -137,21 +97,3 @@ def delta_window_count(P: int, b: int, c: int, Delta: int) -> int:
     count = hi // step - -(-lo // step) + 1
     return max(count, 0)
 
-
-def density_rows(classes: list[SublatticeClass], box_sides: list[int]) -> list[dict]:
-    """Measurement rows for the count-vs-T^2/M density experiments."""
-    rows = []
-    for cls in classes:
-        for T in box_sides:
-            count = class_count_in_box(cls, T)
-            expected = T * T / cls.index
-            rows.append(
-                {
-                    "M": cls.index,
-                    "T": T,
-                    "count": count,
-                    "expected": expected,
-                    "deviation": count - expected,
-                }
-            )
-    return rows

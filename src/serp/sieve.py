@@ -151,12 +151,6 @@ def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:
     return ed2_reconstruct(w)
 
 
-def count_local_params(P: int, R: int, delta: int) -> int:
-    """N(P; R, delta): admissible moduli r <= R dividing 5*P*delta + 1."""
-    N = 5 * P * delta + 1
-    return sum(1 for r in admissible_moduli(R, delta) if N % r == 0)
-
-
 _LI_LEAF = 1 << 16  # >= 128, numpy's pairwise block, so a leaf sums as inside one array
 
 
@@ -233,12 +227,6 @@ def average_local_params(x: int, R: int, delta: int) -> ScanReport:
         phi_sum=phi_sum,
         exceptional=exceptional,
     )
-
-
-def exceptional_set(x: int, R: int, delta: int) -> list[int]:
-    """Admissible r <= R whose progression class has no prime <= x."""
-    _, scans = class_scans(x, R, delta)
-    return [cls.r for cls, hits in scans if not hits.any()]
 
 
 def fit_growth_constant(

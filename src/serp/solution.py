@@ -1,6 +1,5 @@
 """Canonical solution records for 5/P = 1/A + 1/B + 1/C, exact
-verification, multiplicity classification, and the admissible range of
-the minimal denominator."""
+verification and multiplicity classification."""
 
 from __future__ import annotations
 
@@ -97,7 +96,3 @@ def classify_solution(sol: Solution) -> MultiplicityClass:
         )
     return MultiplicityClass(len(positions), positions)
 
-
-def min_denominator_bounds(P: int) -> tuple[int, int]:
-    """Inclusive range of the minimal denominator allowed by P < 5A < 3P."""
-    return P // 5 + 1, (3 * P - 1) // 5

@@ -11,16 +11,14 @@ from serp.arith import (
     _MR_WITNESS_COUNTS,
     MR_DETERMINISTIC_BOUND,
     crt_combine,
-    divisors,
     euler_phi,
     factorize,
     is_prime,
-    jacobi_symbol,
     mod_inverse,
     primes_between,
     squarefree_split,
 )
-from serp.errors import EvenModulus, InconsistentCongruence, NotInvertible
+from serp.errors import InconsistentCongruence, NotInvertible
 
 
 def brute_divisors(n):
@@ -249,42 +247,13 @@ class TestCrtCombine:
             assert crt_combine(r1, m1, r2, m2) == (common[0], lcm)
 
 
-class TestJacobiSymbol:
-    def test_examples(self):
-        assert jacobi_symbol(1, 9) == 1
-        assert jacobi_symbol(0, 5) == 0
-        assert jacobi_symbol(2, 15) == 1
-
-    def test_even_modulus_rejected(self):
-        with pytest.raises(EvenModulus):
-            jacobi_symbol(3, 10)
-        with pytest.raises(EvenModulus):
-            jacobi_symbol(3, 0)
-
-    def test_euler_criterion_all_small_primes(self, primes_up_to):
-        for p in primes_up_to(1000):
-            if p == 2:
-                continue
-            for a in range(p):
-                euler = pow(a, (p - 1) // 2, p)
-                expected = 0 if euler == 0 else (1 if euler == 1 else -1)
-                assert jacobi_symbol(a, p) == expected, (a, p)
-
-    def test_multiplicative_in_numerator(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randrange(1, 500) * 2 + 1
-            a, b = rng.randrange(n), rng.randrange(n)
-            assert jacobi_symbol(a * b, n) == jacobi_symbol(a, n) * jacobi_symbol(b, n)
-
-
 class TestDivisors:
     def test_examples(self):
-        assert divisors(81) == [1, 3, 9, 27, 81]
-        assert divisors(56) == [1, 2, 4, 7, 8, 14, 28, 56]
+        assert factorize(81).divisors() == [1, 3, 9, 27, 81]
+        assert factorize(56).divisors() == [1, 2, 4, 7, 8, 14, 28, 56]
 
     def test_17556(self):
-        ds = divisors(17556)
+        ds = factorize(17556).divisors()
         # 17556 = 2^2 * 3 * 7 * 11 * 19, tau = 48
         assert len(ds) == 48
         assert [d for d in ds if d % 5 == 4] == [
@@ -293,13 +262,13 @@ class TestDivisors:
 
     def test_matches_trial_division_exhaustive(self):
         for n in range(1, 2001):
-            assert divisors(n) == brute_divisors(n), n
+            assert factorize(n).divisors() == brute_divisors(n), n
 
     def test_matches_divisibility_sampled_to_1e6(self):
         rng = random.Random(99)
         for _ in range(300):
             n = rng.randrange(1, 10**6)
-            ds = divisors(n)
+            ds = factorize(n).divisors()
             assert ds == sorted(set(ds))
             assert all(n % d == 0 for d in ds)
             # no divisor missing: pair each d <= sqrt(n) with n//d

@@ -4,10 +4,14 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import serp.cli as cli_mod
-from serp.arith import MR_DETERMINISTIC_BOUND, is_prime
+from serp.arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from serp.cli import main
+from serp.explicit import decompose_explicit
+from serp.solution import verify_solution
 
 
 def run_cli(*argv):
@@ -330,13 +334,37 @@ class TestStats:
         ("stats", "--x", "100", "--rmax", "20", "--delta", "-1"),
         ("stats", "--x", "100", "--rmax", "20", "--delta", "0"),
         ("sieve", "--delta", "-1", "--rmax", "20", "--xmax", "100"),
+        ("decompose", "31", "--gamma-max", "-3", "--delta-max", "-3"),
+        ("decompose", "31", "--delta-max", "0"),
+        ("scan", "--from", "7", "--to", "100", "--gamma-max", "0"),
+        ("scan", "--from", "7", "--to", "100", "--delta-max", "-3"),
+        ("stats", "--x", "-3", "--rmax", "20", "--delta", "1"),
+        ("stats", "--x", "100", "--rmax", "-1", "--delta", "1"),
+        ("sieve", "--delta", "1", "--rmax", "0", "--xmax", "100"),
+        ("sieve", "--delta", "1", "--rmax", "20", "--xmax", "-3"),
+        ("SERP_GAMMA_MAX=-3", "decompose", "31"),
+        ("SERP_DELTA_MAX=0", "decompose", "31"),
+        ("SERP_DELTA_MAX=-3", "scan", "--from", "7", "--to", "100"),
     ],
 )
-def test_nonpositive_delta_is_usage_error(argv, capsys):
-    code, out = run_cli(*argv, "--format", "json")
+def test_nonpositive_delta_is_usage_error(argv, monkeypatch, capsys):
+    # Every bound must be >= 1, by flag or by environment (a leading
+    # NAME=value item); the error names the first bad one, and scan
+    # fails before it tests any integer.
+    def refuse(*n):
+        raise AssertionError(f"scan tested {n} before checking its bounds")
+
+    monkeypatch.setattr(cli_mod, "primes_between", refuse)
+    monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
+    monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
+    env = [item.split("=") for item in argv if "=" in item]
+    for name, value in env:
+        monkeypatch.setenv(name, value)
+    flags = [flag for flag, value in zip(argv, argv[1:]) if flag.startswith("--") and int(value) < 1]
+    code, out = run_cli(*[item for item in argv if "=" not in item], "--format", "json")
     assert code == 2
     assert out == ""
-    assert "--delta" in capsys.readouterr().err
+    assert (flags or [name for name, _ in env])[0] in capsys.readouterr().err
 
 
 class TestTable:
@@ -389,3 +417,45 @@ class TestDeterminism:
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+INTEGERS = st.integers(-10**3, 10**7)
+# the least prime at or after a draw, so about half of the inputs are prime
+PRIMES = st.integers(2, 10**7).map(lambda n: next(primes_between(n, n + 1000)))
+NEAR_MR_BOUND = st.integers(MR_DETERMINISTIC_BOUND - 10**3, MR_DETERMINISTIC_BOUND + 10**3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=INTEGERS | PRIMES)
+def test_decompose_exit_codes_on_any_integer(n):
+    # run_cli lets any exception out of main fail the test
+    code, out = run_cli("decompose", str(n), "--format", "json")
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert out == ""
+        assert (code == 2) == (n in (2, 5) or not is_prime(n))
+        return
+    records = json_lines(out)
+    assert records
+    for r in records:
+        assert r["P"] == n and verify_solution(n, r["A"], r["B"], r["C"])
+        assert run_cli("verify", str(n), str(r["A"]), str(r["B"]), str(r["C"]))[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    P=INTEGERS | PRIMES | NEAR_MR_BOUND,
+    abc=st.tuples(INTEGERS, INTEGERS, INTEGERS),
+    closed_form=st.booleans(),
+)
+def test_verify_exit_codes_on_any_integers(P, abc, closed_form):
+    if closed_form and P >= 3 and P % 5 in (3, 4):
+        abc = decompose_explicit(P).triple()  # exact for every such P, prime or not
+    code, out = run_cli("verify", str(P), *map(str, abc), "--format", "json")
+    usage = P >= MR_DETERMINISTIC_BOUND or not is_prime(P)
+    assert code == (2 if usage else 0 if verify_solution(P, *abc) else 1)
+    if code == 2:
+        assert out == ""
+    else:
+        (record,) = json_lines(out)
+        assert record["valid"] == (code == 0)

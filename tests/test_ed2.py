@@ -1,11 +1,11 @@
 import json
+from math import gcd
 
 import pytest
 
 from serp.ed2 import (
     Ed2Witness,
     NormalizedEd2,
-    ed2_backtest,
     ed2_case_a,
     ed2_normalize,
     ed2_reconstruct,
@@ -13,7 +13,42 @@ from serp.ed2 import (
     ed2_witness_row,
 )
 from serp.errors import WrongResidue
+from serp.lattice import lattice_search_m
 from serp.solution import SolutionClass, classify_solution
+
+
+def ed2_backtest(n: NormalizedEd2, P: int) -> bool:
+    """Re-validate an assembled row from its normalized coordinates.
+
+    Checks, in order: the 4 (mod 5) congruences of 5b-1 and 5c-1, the
+    divisibility delta | b*c, coprimality of (b', c'), the linear
+    relation b' + c' = m*dprime, the product relation A*alpha =
+    alpha^2*b'*c', integrality and consistency of A = b*c/delta, the
+    strict bounds P < 5A < 3P, and b != c.
+    """
+    b = n.g * n.bprime
+    c = n.g * n.cprime
+    delta = n.alpha * n.dprime**2
+    if b < 1 or c < 1 or delta < 1:
+        return False
+    if (5 * b - 1) % 5 != 4 or (5 * c - 1) % 5 != 4:
+        return False
+    if (b * c) % delta:
+        return False
+    if gcd(n.bprime, n.cprime) != 1:
+        return False
+    if n.bprime + n.cprime != n.m * n.dprime:
+        return False
+    if (n.m + P) % 5:
+        return False
+    A = (n.m + P) // 5
+    if A * n.alpha != n.alpha**2 * n.bprime * n.cprime:
+        return False
+    if b * c // delta != A:
+        return False
+    if not P < 5 * A < 3 * P:
+        return False
+    return b != c
 
 
 class TestSearch:
@@ -147,6 +182,28 @@ class TestBacktest:
         assert not n.canonical
         assert not ed2_backtest(n, 97)
         assert ed2_reconstruct(w).triple() == (20, 776, 3880)
+
+    def test_reconstructed_witnesses_pass_backtest(self, primes_up_to):
+        # any hit with m < 2P assembles into a canonical kernel-valid row
+        some_primes = [p for p in primes_up_to(10**4, residue_mod5=1)][::31]
+        for P in some_primes + [73, 97]:
+            for alpha in (1, 2, 3, 5):
+                for dprime in (1, 2, 3):
+                    for bprime, cprime, m in lattice_search_m(P, alpha, dprime, 2 * P - 1):
+                        g = alpha * dprime
+                        w = Ed2Witness(
+                            P,
+                            alpha * dprime**2,
+                            g * bprime,
+                            g * cprime,
+                            5 * g * bprime - 1,
+                            5 * g * cprime - 1,
+                            alpha * bprime * cprime,
+                        )
+                        n = ed2_normalize(w)
+                        assert n.canonical
+                        assert ed2_backtest(n, P)
+                        ed2_reconstruct(w)  # raises if the kernel fails
 
 
 def test_witness_row_wire_form():

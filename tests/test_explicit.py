@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from serp.arith import primes_between
 from serp.errors import InvalidSolution, IrreparableCollision, ParityViolation, WrongResidue
 from serp.explicit import decompose_explicit, repair_distinct
 from serp.solution import Solution, SolutionClass, verify_solution
@@ -75,3 +78,17 @@ def test_all_residue_classes_up_to_2e4(primes_up_to):
             repaired = repair_distinct(sol)
             assert repaired.strict
             assert verify_solution(P, *repaired.triple())
+
+
+PRIMES_3_4_MOD_5 = [P for P in primes_between(3, 10**6) if P % 5 in (3, 4)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=st.sampled_from(PRIMES_3_4_MOD_5))
+def test_repair_is_strict_exact_and_keeps_p_and_class(P):
+    sol = decompose_explicit(P)
+    repaired = repair_distinct(sol)
+    assert repaired.strict and repaired.A < repaired.B < repaired.C
+    assert verify_solution(P, *repaired.triple())
+    assert (repaired.P, repaired.cls) == (sol.P, sol.cls)
+    assert repair_distinct(repaired) is repaired

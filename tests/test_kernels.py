@@ -2,6 +2,8 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serp import _kernels
 from serp._kernels import class_primes, prime_mask
@@ -46,11 +48,27 @@ class TestClassPrimes:
             ).tolist()
             assert got == expected
 
-    def test_above_full_mask_threshold(self):
-        # the public entry point switches to the segmented sieve here
-        limit = _kernels._FULL_MASK_LIMIT + 10**5
-        got = class_primes(11, 20, limit)
-        mask = prime_mask(limit)
-        members = np.arange(11, limit + 1, 20)
-        assert np.array_equal(got, members[mask[members]])
+    def test_public_entry_matches_full_mask(self):
+        # every limit of at least 2 goes through the segmented sieve:
+        # small ones, and one past the first segment
+        for limit in [*range(2, 120), _kernels.SEGMENT + 10**5]:
+            mask = prime_mask(limit)
+            for residue, modulus in [(0, 1), (0, 2), (1, 2), (1, 5), (11, 20), (91, 95)]:
+                members = np.arange(residue, limit + 1, modulus)
+                assert np.array_equal(class_primes(residue, modulus, limit), members[mask[members]])
 
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modulus=st.integers(1, 300),
+    residue=st.integers(-300, 300),
+    limit=st.integers(2, 3 * 10**4),
+    segment=st.sampled_from([97, 1000, 2**12, _kernels.SEGMENT]),
+)
+def test_class_sieve_matches_full_mask(modulus, residue, limit, segment):
+    # residues sharing a prime with the modulus strike all members or none
+    base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
+    members = np.arange(residue % modulus, limit + 1, modulus)
+    expected = members[prime_mask(limit)[members]]
+    got = _kernels._class_primes_segmented(residue % modulus, modulus, limit, base, segment)
+    assert np.array_equal(got, expected)

@@ -11,9 +11,13 @@ from serp.solution import (
     SolutionClass,
     classify_solution,
     make_solution,
-    min_denominator_bounds,
     verify_solution,
 )
+
+
+def min_denominator_bounds(P: int) -> tuple[int, int]:
+    """Inclusive range of the minimal denominator allowed by P < 5A < 3P."""
+    return P // 5 + 1, (3 * P - 1) // 5
 
 
 def _range_scan_reference(P: int, distinct_only: bool = True) -> OracleEnumeration:
@@ -133,6 +137,22 @@ class TestAgainstRangeScan:
         assert _rows(enumerate_all_solutions(P, distinct_only)) == _rows(
             _range_scan_reference(P, distinct_only)
         )
+
+
+class TestMinDenominatorBounds:
+    @pytest.mark.parametrize(
+        "P,expected",
+        [(31, (7, 18)), (73, (15, 43)), (11, (3, 6))],
+    )
+    def test_examples(self, P, expected):
+        assert min_denominator_bounds(P) == expected
+
+    def test_bounds_are_tight(self):
+        for P in (11, 31, 41, 73, 97, 2521, 3511):
+            lo, hi = min_denominator_bounds(P)
+            assert P < 5 * lo and 5 * hi < 3 * P
+            assert not P < 5 * (lo - 1)
+            assert not 5 * (hi + 1) < 3 * P
 
 
 def test_solutions_verify_and_classify_up_to_1000(oracle, primes_up_to):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from serp import sieve
-from serp._kernels import _FULL_MASK_LIMIT
 from serp.cli import main
 from serp.errors import BadResidue, DeltaFilterFailed, NotCoprime
 from serp.sieve import (
@@ -16,12 +15,17 @@ from serp.sieve import (
     average_local_params,
     build_progression_class,
     class_scans,
-    count_local_params,
-    exceptional_set,
     li_estimate,
     reconstruct_from_class,
     scan_class_primes,
 )
+
+
+def count_local_params(P: int, R: int, delta: int) -> int:
+    """N(P; R, delta) by division: admissible moduli r <= R dividing
+    5*P*delta + 1, in exact integers."""
+    N = 5 * P * delta + 1
+    return sum(1 for r in admissible_moduli(R, delta) if N % r == 0)
 
 
 class TestBuildClass:
@@ -181,7 +185,7 @@ class TestSharedPass:
         [
             (1000, 64, 1),
             (5000, 128, 7),
-            (_FULL_MASK_LIMIT + 50_000, 40, 3),  # segmented sieve path
+            (1_050_000, 40, 3),  # more than one sieve segment
             (1000, 64, 2**61 - 1),  # 5*delta*x + 1 > 2**63: no int64 product
         ],
     )
@@ -195,7 +199,10 @@ class TestSharedPass:
         assert len(report.n_of_p) == report.prime_count
         for P, n in report.n_of_p.items():
             assert n == count_local_params(P, R, delta)
-        assert exceptional_set(x, R, delta) == list(report.exceptional)
+        assert list(report.exceptional) == [
+            r for r in admissible_moduli(R, delta)
+            if not scan_class_primes(build_progression_class(delta, r), x)
+        ]
 
     def test_hits_mark_class_members(self):
         primes, scans = class_scans(1000, 30, 1)
@@ -207,9 +214,9 @@ class TestSharedPass:
 
 class TestExceptional:
     def test_examples(self):
-        assert exceptional_set(100, 20, 1) == [19]
-        assert exceptional_set(1000, 20, 1) == []
-        assert exceptional_set(2, 20, 1) == [4, 9, 14, 19]
+        assert average_local_params(100, 20, 1).exceptional == (19,)
+        assert average_local_params(1000, 20, 1).exceptional == ()
+        assert average_local_params(2, 20, 1).exceptional == (4, 9, 14, 19)
 
 
 def test_residue_lemma_randomized_pairs(primes_up_to):

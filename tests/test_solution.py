@@ -11,7 +11,6 @@ from serp.solution import (
     SolutionClass,
     classify_solution,
     make_solution,
-    min_denominator_bounds,
     verify_solution,
 )
 
@@ -142,26 +141,9 @@ class TestClassify:
             mod.verify_solution = original
 
 
-class TestMinDenominatorBounds:
-    @pytest.mark.parametrize(
-        "P,expected",
-        [(31, (7, 18)), (73, (15, 43)), (11, (3, 6))],
-    )
-    def test_examples(self, P, expected):
-        assert min_denominator_bounds(P) == expected
-
-    def test_bounds_are_tight(self):
-        for P in (11, 31, 41, 73, 97, 2521, 3511):
-            lo, hi = min_denominator_bounds(P)
-            assert P < 5 * lo and 5 * hi < 3 * P
-            assert not P < 5 * (lo - 1)
-            assert not 5 * (hi + 1) < 3 * P
-
-
 def test_oracle_solutions_classify_and_stay_in_bounds(oracle):
     for P in (11, 31, 41, 61, 71, 73, 97):
-        lo, hi = min_denominator_bounds(P)
         for sol in oracle(P).solutions:
             mult = classify_solution(sol)
             assert mult.count in (1, 2)
-            assert lo <= sol.A <= hi
+            assert P < 5 * sol.A < 3 * P

@@ -1,6 +1,7 @@
 import ast
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import serp
 from serp.cli import main
 
 SRC = Path(serp.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # Run under `python -O`: the invariant checks must still raise, and the
 # output must not change.
@@ -143,3 +145,32 @@ def test_numpy_loads_only_for_the_sieve():
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         serp.no_such_name
+
+
+def _imported_names(tree):
+    return {a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+
+
+def test_every_public_name_has_a_user():
+    # A name in serp.__all__ must be used by another serp module, bound
+    # by the benchmark (by import or in a string, as the tracer does),
+    # or imported by an acceptance criterion.  lattice_search_m is the
+    # paper's search, pinned against ed2_search in tests/test_lattice.py.
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used |= _imported_names(tree)
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used |= _imported_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= set(re.findall(r"\w+", node.value))
+    acceptance = ROOT / "tests" / "test_acceptance.py"
+    used |= _imported_names(ast.parse(acceptance.read_text(), filename=str(acceptance)))
+    assert sorted(set(serp.__all__) - used - {"lattice_search_m"}) == []
