@@ -1,6 +1,6 @@
 """Prime-sieve kernels in numpy.
 
-prime_mask is a cached full boolean mask; class_primes takes its base
+prime_mask is a read-only full boolean mask; class_primes takes its base
 primes up to sqrt(limit) from it and then sieves [2, limit] one segment
 at a time, walking the residue class with stride = modulus, so memory
 stays at one segment's class members regardless of the scan limit.
@@ -13,8 +13,6 @@ from math import isqrt
 import numpy as np
 
 SEGMENT = 1 << 20
-
-_mask_cache: dict[int, np.ndarray] = {}
 
 
 def _class_primes_segmented(
@@ -44,21 +42,15 @@ def _class_primes_segmented(
 
 
 def prime_mask(limit: int) -> np.ndarray:
-    """Cached read-only primality mask over [0, limit]."""
+    """Read-only primality mask over [0, limit]."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    cached = _mask_cache.get(limit)
-    if cached is not None:
-        return cached
     mask = np.ones(limit + 1, dtype=np.bool_)
     mask[:2] = False
     for p in range(2, isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
     mask.setflags(write=False)
-    if len(_mask_cache) > 8:
-        _mask_cache.clear()
-    _mask_cache[limit] = mask
     return mask
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections.abc import Iterable
 
@@ -113,43 +112,10 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
         _emit((s.as_dict() for s in checked()), SOLUTION_COLUMNS, fmt, out)
 
 
-def _bound(flag_value, env_name: str) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name)
-    if not env:
-        return None
-    value = int(env)
-    if value < 1:
-        raise SerpError(f"{env_name} must be >= 1, got {value}")
-    return value
-
-
-def _fixed_bounds(args) -> tuple[int | None, int | None]:
-    """(gamma_max, delta_max) set by flag, else by environment; None if neither."""
-    return _bound(args.gamma_max, "SERP_GAMMA_MAX"), _bound(args.delta_max, "SERP_DELTA_MAX")
-
-
-def _bounds_for(P: int, gamma_fixed: int | None, delta_fixed: int | None) -> tuple[int, int]:
-    """(gamma_max, delta_max) for P: each fixed bound, else P's default."""
-    return (default_gamma_max(P) if gamma_fixed is None else gamma_fixed,
-            default_delta_max(P) if delta_fixed is None else delta_fixed)
-
-
-def _first_ed2(P: int, delta_max: int):
-    for delta in range(1, delta_max + 1):
-        found = ed2_search(P, delta, delta_min=delta)
-        if found:
-            return found[0]
-    return None
-
-
-def _first_ed1(P: int, gamma_max: int):
-    for gamma in range(4, gamma_max + 1, 5):
-        found = ed1_search(P, gamma, gamma_min=gamma)
-        if found:
-            return found[0]
-    return None
+def _bounds_for(P: int, args) -> tuple[int, int]:
+    """(gamma_max, delta_max) for P: each flag, else P's default."""
+    return (default_gamma_max(P) if args.gamma_max is None else args.gamma_max,
+            default_delta_max(P) if args.delta_max is None else args.delta_max)
 
 
 def _decompose(P: int, method: str, gamma_max: int, delta_max: int,
@@ -164,29 +130,34 @@ def _decompose(P: int, method: str, gamma_max: int, delta_max: int,
         if not weak:
             sol = repair_distinct(sol)
         return [sol]
-    solutions: list[Solution] = []
-    if not want_all:
-        if method in ("auto", "ed2"):
-            w2 = _first_ed2(P, delta_max)
-            if w2 is not None:
-                return [ed2_reconstruct(w2)]
-        if method in ("auto", "ed1"):
-            w1 = _first_ed1(P, gamma_max)
-            if w1 is not None:
-                return [ed1_reconstruct(w1)]
-        return []
-    if method in ("auto", "ed2"):
-        solutions += [ed2_reconstruct(w) for w in ed2_search(P, delta_max)]
-    if method in ("auto", "ed1"):
-        solutions += [ed1_reconstruct(w) for w in ed1_search(P, gamma_max)]
-    return sorted(set(solutions), key=Solution.sort_key)
+    # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (search,
+    # reconstruct, parameter steps).  Built per call, not at module level,
+    # so a wrapper later bound to a search's module name is the one called.
+    engines = [
+        (search, reconstruct, steps)
+        for name, search, reconstruct, steps in (
+            ("ed2", ed2_search, ed2_reconstruct, range(1, delta_max + 1)),
+            ("ed1", ed1_search, ed1_reconstruct, range(4, gamma_max + 1, 5)),
+        )
+        if method in ("auto", name)
+    ]
+    if want_all:
+        found = {reconstruct(w) for search, reconstruct, steps in engines
+                 for w in search(P, steps.stop - 1)}
+        return sorted(found, key=Solution.sort_key)
+    for search, reconstruct, steps in engines:
+        for t in steps:  # raise the parameter until the first hit
+            found = search(P, t, t)
+            if found:
+                return [reconstruct(found[0])]
+    return []
 
 
 def cmd_decompose(args, out) -> int:
     P = args.P
     if not is_prime(P):
         raise SerpError(f"P = {P} is not prime; decompose needs a prime")
-    gamma_max, delta_max = _bounds_for(P, *_fixed_bounds(args))
+    gamma_max, delta_max = _bounds_for(P, args)
     solutions = _decompose(P, args.method, gamma_max, delta_max, args.all, args.weak)
     if not solutions:
         print(
@@ -221,7 +192,6 @@ def cmd_scan(args, out) -> int:
             f"--to must be below {MR_DETERMINISTIC_BOUND}, "
             "the end of the deterministic primality range"
         )
-    fixed = _fixed_bounds(args)  # read once; only the defaults depend on P
     misses = []
 
     def solutions():
@@ -233,7 +203,7 @@ def cmd_scan(args, out) -> int:
                 continue
             if args.method == "ed1" and residue != 1:
                 continue
-            gamma_max, delta_max = _bounds_for(P, *fixed)
+            gamma_max, delta_max = _bounds_for(P, args)
             found = _decompose(P, args.method, gamma_max, delta_max, False, args.weak)
             if found:
                 yield from found
@@ -333,7 +303,10 @@ def cmd_table(args, out) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -358,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("P", type=int)
     p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
     p.add_argument("--all", action="store_true", help="emit every solution within bounds")
-    p.add_argument("--gamma-max", type=_positive_int, help="one-multiple search bound (env SERP_GAMMA_MAX)")
-    p.add_argument("--delta-max", type=_positive_int, help="two-multiple search bound (env SERP_DELTA_MAX)")
+    p.add_argument("--gamma-max", type=_positive_int, help="one-multiple search bound")
+    p.add_argument("--delta-max", type=_positive_int, help="two-multiple search bound")
     p.add_argument("--weak", action="store_true", help="allow repeated denominators (skip repair)")
     add_format(p)
     p.set_defaults(func=cmd_decompose)

@@ -1,6 +1,14 @@
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from serp.arith import is_prime
 from serp.bridge import anticonvolve_ed1_to_ed2, convolve_ed2_to_ed1
-from serp.ed2 import Ed2Witness, ed2_search
+from serp.ed2 import Ed2Witness, ed2_reconstruct, ed2_search
 from serp.solution import SolutionClass
+
+SMALL_PRIMES = [p for p in range(2, 200) if is_prime(p)]
 
 
 class TestConvolve:
@@ -85,3 +93,40 @@ class TestAnticonvolve:
             for w in ed1_search(P, 60):
                 res = anticonvolve_ed1_to_ed2((w.gamma, w.c, w.u, w.v), P)
                 assert not res.mapped
+
+
+@cache
+def _witnesses(P):
+    return tuple(ed2_search(P, 30)) if P % 5 else ()
+
+
+@st.composite
+def reverse_inputs(draw):
+    """(quadruple, P): arbitrary integers, the reverse formulas' own shape
+    (gamma, c, gamma*A - c, gamma*b*P - c) for arbitrary A, b, c, or that
+    shape taken from a two-multiple witness of P, which maps."""
+    P = draw(st.sampled_from(SMALL_PRIMES))
+    shape = draw(st.sampled_from(("any", "reverse", "witness")))
+    if shape == "any":
+        return draw(st.tuples(*[st.integers(-10**6, 10**6)] * 4)), P
+    gamma = draw(st.integers(1, 60))
+    if shape == "witness" and _witnesses(P):
+        w = draw(st.sampled_from(_witnesses(P)))
+        A, b, c = w.A, w.b, w.c
+    else:
+        A, b, c = draw(st.tuples(*[st.integers(-50, 10**4)] * 3))
+    return (gamma, c, gamma * A - c, gamma * b * P - c), P
+
+
+@settings(max_examples=400, deadline=None)
+@given(reverse_inputs())
+def test_anticonvolve_returns_a_checked_value(qP):
+    # never raises; a mapped witness passes the full two-multiple
+    # reconstruction, an unmapped result says which precondition failed
+    q, P = qP
+    res = anticonvolve_ed1_to_ed2(q, P)
+    if res.mapped:
+        assert res.reason is None and res.witness.P == P
+        ed2_reconstruct(res.witness)  # raises unless the witness is exact
+    else:
+        assert res.witness is None and res.reason

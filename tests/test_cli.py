@@ -98,28 +98,25 @@ class TestDecompose:
         assert out == ""
         assert "P = 2 is out of scope" in capsys.readouterr().err
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SERP_DELTA_MAX", "1")
-        code, out = run_cli("decompose", "31", "--method", "ed2", "--all", "--format", "json")
+    def test_env_override(self):
+        # --delta-max overrides P's default bound
+        code, out = run_cli(
+            "decompose", "31", "--method", "ed2", "--all", "--delta-max", "1", "--format", "json"
+        )
         assert code == 0
         assert [(r["A"], r["B"], r["C"]) for r in json_lines(out)] == [(8, 31, 248)]
-        monkeypatch.setenv("SERP_DELTA_MAX", "4")
-        code, out = run_cli("decompose", "31", "--method", "ed2", "--all", "--format", "json")
-        assert len(json_lines(out)) == 2
-
-    def test_gamma_env_override(self, monkeypatch):
-        monkeypatch.setenv("SERP_GAMMA_MAX", "4")
-        code, out = run_cli("decompose", "11", "--method", "ed1", "--all", "--format", "json")
-        assert code == 0
-        assert [(r["A"], r["B"], r["C"]) for r in json_lines(out)] == [(3, 9, 99)]
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("SERP_DELTA_MAX", "1")
         code, out = run_cli(
-            "decompose", "31", "--method", "ed2", "--all", "--delta-max", "4",
-            "--format", "json",
+            "decompose", "31", "--method", "ed2", "--all", "--delta-max", "4", "--format", "json"
         )
         assert len(json_lines(out)) == 2
+
+    def test_gamma_env_override(self):
+        # --gamma-max overrides P's default bound
+        code, out = run_cli(
+            "decompose", "11", "--method", "ed1", "--all", "--gamma-max", "4", "--format", "json"
+        )
+        assert code == 0
+        assert [(r["A"], r["B"], r["C"]) for r in json_lines(out)] == [(3, 9, 99)]
 
     def test_csv_layout(self):
         code, out = run_cli(
@@ -220,8 +217,8 @@ class TestScan:
             11, 41, 61, 71, 101, 131, 151, 191,
         ]
 
-    # sha256 of `scan --from 7 --to 20000` stdout, recorded before the
-    # bounds were read once per scan instead of once per prime
+    # sha256 of `scan --from 7 --to 20000` stdout by --delta-max (None:
+    # each P's default)
     SCAN_20000_SHA256 = {
         (None, "json"): "c6b320614d9f07c49a3535846571b4b83aef09c56a537f2b4f70d6fa374fb712",
         (None, "csv"): "f70300cf4918a3835602ae8c465cd453e717008344aaa67b5aaa98f190fea265",
@@ -231,40 +228,13 @@ class TestScan:
         ("3", "table"): "ac3558d16d263ee534a53007aa1e2b370b3398f82eb87d19c6a85960884a2c11",
     }
 
-    @pytest.mark.parametrize("env_delta, fmt", sorted(SCAN_20000_SHA256, key=str))
-    def test_scan_output_is_pinned(self, monkeypatch, env_delta, fmt):
-        if env_delta is None:
-            monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
-        else:
-            monkeypatch.setenv("SERP_DELTA_MAX", env_delta)
-        monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
-        code, out = run_cli("scan", "--from", "7", "--to", "20000", "--format", fmt)
+    @pytest.mark.parametrize("delta_max, fmt", sorted(SCAN_20000_SHA256, key=str))
+    def test_scan_output_is_pinned(self, delta_max, fmt):
+        bound = [] if delta_max is None else ["--delta-max", delta_max]
+        code, out = run_cli("scan", "--from", "7", "--to", "20000", *bound, "--format", fmt)
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == self.SCAN_20000_SHA256[env_delta, fmt]
-
-    def test_env_bound_equals_flag_bound(self, monkeypatch):
-        monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
-        monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
-        _, by_flag = run_cli("scan", "--from", "7", "--to", "3000", "--delta-max", "3")
-        monkeypatch.setenv("SERP_DELTA_MAX", "3")
-        _, by_env = run_cli("scan", "--from", "7", "--to", "3000")
-        _, wider = run_cli("scan", "--from", "7", "--to", "3000", "--delta-max", "3000")
-        assert by_env == by_flag != wider
-
-    def test_environment_read_once_per_scan(self, monkeypatch):
-        reads = []
-
-        class CountingEnviron(dict):
-            def get(self, key, default=None):
-                if key.startswith("SERP_"):
-                    reads.append(key)
-                return super().get(key, default)
-
-        monkeypatch.setattr(cli_mod.os, "environ", CountingEnviron())
-        code, out = run_cli("scan", "--from", "7", "--to", "2000", "--format", "json")
-        assert code == 0 and len(json_lines(out)) == 300  # the primes in [7, 2000]
-        assert sorted(reads) == ["SERP_DELTA_MAX", "SERP_GAMMA_MAX"]
+        assert digest == self.SCAN_20000_SHA256[delta_max, fmt]
 
     @pytest.mark.parametrize("to", [MR_DETERMINISTIC_BOUND, 10**30])
     def test_range_past_primality_bound_fails_first(self, monkeypatch, capsys, to):
@@ -342,29 +312,42 @@ class TestStats:
         ("stats", "--x", "100", "--rmax", "-1", "--delta", "1"),
         ("sieve", "--delta", "1", "--rmax", "0", "--xmax", "100"),
         ("sieve", "--delta", "1", "--rmax", "20", "--xmax", "-3"),
-        ("SERP_GAMMA_MAX=-3", "decompose", "31"),
-        ("SERP_DELTA_MAX=0", "decompose", "31"),
-        ("SERP_DELTA_MAX=-3", "scan", "--from", "7", "--to", "100"),
+        ("stats", "--x", "abc", "--rmax", "2", "--delta", "1"),
+        ("decompose", "31", "--delta-max", "1.5"),
     ],
 )
 def test_nonpositive_delta_is_usage_error(argv, monkeypatch, capsys):
-    # Every bound must be >= 1, by flag or by environment (a leading
-    # NAME=value item); the error names the first bad one, and scan
-    # fails before it tests any integer.
+    # Every bound must be an integer >= 1; the error names the first bad
+    # flag and its value, and scan fails before it tests any integer.
     def refuse(*n):
         raise AssertionError(f"scan tested {n} before checking its bounds")
 
     monkeypatch.setattr(cli_mod, "primes_between", refuse)
-    monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
-    monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
-    env = [item.split("=") for item in argv if "=" in item]
-    for name, value in env:
-        monkeypatch.setenv(name, value)
-    flags = [flag for flag, value in zip(argv, argv[1:]) if flag.startswith("--") and int(value) < 1]
-    code, out = run_cli(*[item for item in argv if "=" not in item], "--format", "json")
+    flag, value = next(
+        (flag, value) for flag, value in zip(argv, argv[1:])
+        if flag.startswith("--") and not (value.isdigit() and int(value) > 0)
+    )
+    code, out = run_cli(*argv, "--format", "json")
     assert code == 2
     assert out == ""
-    assert (flags or [name for name, _ in env])[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err and value in err
+    assert "_positive_int" not in err
+
+
+def test_bounds_ignore_the_environment(monkeypatch):
+    # bounds come from flags or P's defaults only
+    argvs = [
+        ("decompose", "31", "--method", "ed2", "--all", "--format", "json"),
+        ("scan", "--from", "7", "--to", "3000", "--format", "json"),
+    ]
+    monkeypatch.delenv("SERP_DELTA_MAX", raising=False)
+    monkeypatch.delenv("SERP_GAMMA_MAX", raising=False)
+    unset = [run_cli(*argv) for argv in argvs]
+    monkeypatch.setenv("SERP_DELTA_MAX", "1")
+    monkeypatch.setenv("SERP_GAMMA_MAX", "4")
+    assert [run_cli(*argv) for argv in argvs] == unset
+    assert len(json_lines(unset[0][1])) > 1  # delta_max = 1 would leave one
 
 
 class TestTable:
