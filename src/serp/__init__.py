@@ -17,7 +17,7 @@ from .arith import (
     squarefree_split,
 )
 from .bridge import BridgeResult, anticonvolve_ed1_to_ed2, convolve_ed2_to_ed1
-from .ed1 import Ed1Witness, default_gamma_max, ed1_candidates, ed1_reconstruct, ed1_search
+from .ed1 import Ed1Witness, default_gamma_max, ed1_reconstruct, ed1_search
 from .ed2 import (
     Ed2Witness,
     NormalizedEd2,
@@ -92,7 +92,6 @@ __all__ = [
     "default_gamma_max",
     "delta_window_bound",
     "delta_window_count",
-    "ed1_candidates",
     "ed1_reconstruct",
     "ed1_search",
     "ed2_case_a",

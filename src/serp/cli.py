@@ -220,27 +220,16 @@ def cmd_scan(args, out) -> int:
 def cmd_sieve(args, out) -> int:
     from .sieve import class_scans, reconstruct_from_class  # numpy loads here
 
+    _, _, classes = class_scans(args.xmax, args.rmax, args.delta)
     rows = []
-    primes, scans = class_scans(args.xmax, args.rmax, args.delta)
-    for cls, hits in scans:
-        members = primes[hits]
-        first = int(members[0]) if members.size else None
-        row = {
-            "delta": args.delta,
-            "r": cls.r,
-            "modulus": cls.modulus,
-            "residue": cls.residue,
-            "primes_found": int(members.size),
-            "first_prime": first,
-            "exceptional": first is None,
-        }
-        if first is not None:
+    for c in classes:
+        row = c.as_dict()
+        row["first_solution"] = None
+        if c.first_prime is not None:
             try:
-                row["first_solution"] = reconstruct_from_class(first, args.delta, cls.r).as_dict()
+                row["first_solution"] = reconstruct_from_class(c.first_prime, c.delta, c.r).as_dict()
             except DeltaFilterFailed:
-                row["first_solution"] = None
-        else:
-            row["first_solution"] = None
+                pass
         rows.append(row)
     _emit(rows, CSV_FIELDS, _pick_format(args), out)
     return 0
@@ -261,7 +250,7 @@ def cmd_stats(args, out) -> int:
     if fmt == "json":
         records = [report.as_dict()]
     else:  # one row per class; skips the string-keyed copy of n_of_p
-        records = [{**vars(c), "exceptional": c.primes_found == 0} for c in report.classes]
+        records = [c.as_dict() for c in report.classes]
     _emit(records, CSV_FIELDS, fmt, out)
     return 0
 

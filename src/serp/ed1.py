@@ -42,53 +42,30 @@ class Ed1Witness:
     def C(self) -> int:
         return self.c * self.P
 
-    def as_dict(self) -> dict:
-        return {
-            "P": self.P,
-            "gamma": self.gamma,
-            "c": self.c,
-            "u": self.u,
-            "v": self.v,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-        }
-
 
 def default_gamma_max(P: int) -> int:
     """Tunable search bound 5 * ceil(log(P)^3); not a completeness claim."""
     return 5 * math.ceil(math.log(P) ** 3)
 
 
-def ed1_candidates(P: int, gamma_max: int) -> list[tuple[int, int]]:
-    """All (gamma, c) with gamma = 4 (mod 5), gamma <= gamma_max.
+def ed1_search(P: int, gamma_max: int, gamma_min: int = 4) -> list[Ed1Witness]:
+    """All witnesses with gamma_min <= gamma <= gamma_max, gamma = 4 (mod 5).
 
     c = (gamma*P + 1)/5 is integral for every such gamma when
     P = 1 (mod 5), and gcd(gamma, c) = 1 since 5c = 1 (mod gamma).
-    """
-    if P % 5 != 1:
-        raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
-    out = []
-    for gamma in range(4, gamma_max + 1, 5):
-        c, rem = divmod(gamma * P + 1, 5)
-        if rem or gcd(gamma, c) != 1:
-            raise KernelViolation(f"gamma = {gamma} gives no coprime c = (gamma*P + 1)/5")
-        out.append((gamma, c))
-    return out
-
-
-def ed1_search(P: int, gamma_max: int, gamma_min: int = 4) -> list[Ed1Witness]:
-    """All witnesses with gamma_min <= gamma <= gamma_max.
-
     Deterministic order: gamma ascending, then u ascending.  Divisor
     pairs u*v = c**2 are drawn from the squared factorization of c, u
     listed only in its class -c (mod gamma) and below c; the pair
     u = v = c is excluded (it would force A = B).
     """
+    if P % 5 != 1:
+        raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
+    start = max(gamma_min, 4)
     out = []
-    for gamma, c in ed1_candidates(P, gamma_max):
-        if gamma < gamma_min:
-            continue
+    for gamma in range(start + (4 - start) % 5, gamma_max + 1, 5):
+        c, rem = divmod(gamma * P + 1, 5)
+        if rem or gcd(gamma, c) != 1:
+            raise KernelViolation(f"gamma = {gamma} gives no coprime c = (gamma*P + 1)/5")
         out.extend(_witnesses_for_candidate(P, gamma, c))
     return out
 

@@ -14,8 +14,10 @@ The statistics side counts N(P; R, delta) = #{r <= R admissible with
 r | 5*P*delta + 1} per prime, its exact average over primes P <= x with
 P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
 class contains no prime <= x.  Every class is a subset of the primes
-P = 1 (mod 5), so class_scans sieves [2, x] once and hands each class
-its members; N(P; R, delta) is the number of classes that contain P.
+P = 1 (mod 5), so class_scans sieves [2, x] once, then marks, counts
+and drops each class's members in turn: it returns each class's count
+and first member and N(P; R, delta) per prime, and no class mask leaves
+this module.
 """
 
 from __future__ import annotations
@@ -51,7 +53,10 @@ class ClassScan:
     residue: int
     primes_found: int
     first_prime: int | None
-    expected_li: float  # li_estimate(x) / phi(5r), inspection only
+
+    def as_dict(self) -> dict:
+        """The class's output row: its fields, and whether it holds no prime."""
+        return {**vars(self), "exceptional": self.primes_found == 0}
 
 
 @dataclass(frozen=True)
@@ -63,16 +68,30 @@ class ScanReport:
     delta: int
     prime_count: int  # primes <= x with P = 1 (mod 5)
     classes: tuple[ClassScan, ...]
+    phis: tuple[int, ...]  # phi(5r) per class
     n_of_p: dict[int, int]
     average: Fraction | None  # None when no qualifying primes exist
-    phi_sum: Fraction
-    exceptional: tuple[int, ...]
 
     @property
     def per_r_counts(self) -> dict[int, int]:
         return {c.r: c.primes_found for c in self.classes}
 
+    @property
+    def phi_sum(self) -> Fraction:
+        return sum((Fraction(1, phi) for phi in self.phis), Fraction(0))
+
+    @property
+    def exceptional(self) -> tuple[int, ...]:
+        """The moduli r whose class holds no prime <= x."""
+        return tuple(c.r for c in self.classes if c.primes_found == 0)
+
     def as_dict(self) -> dict:
+        li_x = li_estimate(self.x)
+        classes = []
+        for c, phi in zip(self.classes, self.phis):
+            expected_li = li_x / phi  # inspection only
+            classes.append({**c.as_dict(), "expected_li": expected_li,
+                            "li_deviation": c.primes_found - expected_li})
         return {
             "x": self.x,
             "R": self.R,
@@ -80,20 +99,7 @@ class ScanReport:
             "prime_count": self.prime_count,
             "average": str(self.average) if self.average is not None else None,
             "phi_sum": str(self.phi_sum),
-            "classes": [
-                {
-                    "delta": c.delta,
-                    "r": c.r,
-                    "modulus": c.modulus,
-                    "residue": c.residue,
-                    "primes_found": c.primes_found,
-                    "first_prime": c.first_prime,
-                    "exceptional": c.primes_found == 0,
-                    "expected_li": c.expected_li,
-                    "li_deviation": c.primes_found - c.expected_li,
-                }
-                for c in self.classes
-            ],
+            "classes": classes,
             "exceptional": list(self.exceptional),
             "n_of_p": {str(p): n for p, n in sorted(self.n_of_p.items())},
         }
@@ -174,58 +180,42 @@ def li_estimate(x: int) -> float:
 
 def class_scans(
     x: int, R: int, delta: int
-) -> tuple[np.ndarray, list[tuple[ProgressionClass, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray, list[ClassScan]]:
     """One sieve pass for every admissible class r <= R.
 
-    Returns the primes P <= x with P = 1 (mod 5), ascending, and for
-    each admissible r its class with a boolean mask over those primes
-    marking the class members.
+    Returns the primes P <= x with P = 1 (mod 5), ascending; totals,
+    where totals[i] = N(primes[i]; R, delta); and one ClassScan per
+    admissible r, ascending.  Each class's mask over the primes is built,
+    counted and added into totals, then dropped.
     """
     primes = class_primes(1, 5, x)
-    classes = [build_progression_class(delta, r) for r in admissible_moduli(R, delta)]
-    return primes, [(cls, primes % cls.modulus == cls.residue) for cls in classes]
+    totals = np.zeros(primes.size, dtype=np.int64)
+    classes = []
+    for r in admissible_moduli(R, delta):
+        cls = build_progression_class(delta, r)
+        hits = primes % cls.modulus == cls.residue
+        found = int(np.count_nonzero(hits))
+        totals += hits
+        first = int(primes[hits.argmax()]) if found else None
+        classes.append(ClassScan(delta, r, cls.modulus, cls.residue, found, first))
+    return primes, totals, classes
 
 
 def average_local_params(x: int, R: int, delta: int) -> ScanReport:
     """Exact mean of N(P; R, delta) over primes P <= x, P = 1 (mod 5),
-    with the per-class scans, per-prime counts, phi-harmonic sum and
+    with the per-class scans, per-prime counts, phi(5r) per class and
     exceptional moduli.  A zero-prime range is flagged by average=None.
     """
-    primes, scans = class_scans(x, R, delta)
-    totals = np.zeros(primes.size, dtype=np.int64)
-    li_x = li_estimate(x)
-    classes = []
-    phi_sum = Fraction(0)
-    for cls, hits in scans:
-        totals += hits
-        members = primes[hits]
-        phi = euler_phi(cls.modulus)
-        phi_sum += Fraction(1, phi)
-        classes.append(
-            ClassScan(
-                delta=delta,
-                r=cls.r,
-                modulus=cls.modulus,
-                residue=cls.residue,
-                primes_found=int(members.size),
-                first_prime=int(members[0]) if members.size else None,
-                expected_li=li_x / phi,
-            )
-        )
-    n_of_p = dict(zip(primes.tolist(), totals.tolist()))
-    total = sum(n_of_p.values())
-    average = Fraction(total, len(n_of_p)) if n_of_p else None
-    exceptional = tuple(c.r for c in classes if c.primes_found == 0)
+    primes, totals, classes = class_scans(x, R, delta)
     return ScanReport(
         x=x,
         R=R,
         delta=delta,
         prime_count=int(primes.size),
         classes=tuple(classes),
-        n_of_p=n_of_p,
-        average=average,
-        phi_sum=phi_sum,
-        exceptional=exceptional,
+        phis=tuple(euler_phi(c.modulus) for c in classes),
+        n_of_p=dict(zip(primes.tolist(), totals.tolist())),
+        average=Fraction(int(totals.sum()), int(primes.size)) if primes.size else None,
     )
 
 

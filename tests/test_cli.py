@@ -298,6 +298,47 @@ class TestStats:
         assert out.splitlines()[1] == "1,4,20,11,3,11,False"
 
 
+# sha256 of `stats --x X --rmax 64 --delta D` and `sieve --delta D --rmax 64
+# --xmax X` stdout; X = 1100000 crosses _kernels.SEGMENT
+DENSITY_SHA256 = {
+    ("stats", "100000", "1", "json"): "9546b9759d1f20f86145955969946e6753ba4aa76ee41037426319458a73e4b6",
+    ("stats", "100000", "1", "csv"): "2718f889936dcb4f51a9b5a1010e528eef5b52b48fa2ffb8668b603f3f70e236",
+    ("stats", "100000", "1", "table"): "ee92264ff8af26383e91e2363ef8f23e83fe046a3905a18b4b7596f9baf6d459",
+    ("stats", "100000", "7", "json"): "fde54b259c487293a8abb80adb042b555953bb5ffb9b01d4dd26c870055081c9",
+    ("stats", "100000", "7", "csv"): "68a2ee48102b23a09ae50004a5e9a3eb12ddc99959d5846b3cb2fbe038464bee",
+    ("stats", "100000", "7", "table"): "4cbe74e9e82cb2ecabc20ec8dd9670920e29a9c61bd6fd651b5b672b66f97a4b",
+    ("stats", "1100000", "1", "json"): "28c5fbb63bfc147fa9c0e22ce530d1ebdd13d9f5d3d1cac5844d433289bb9665",
+    ("stats", "1100000", "1", "csv"): "3686c0112e749cdd58caaf27e93d6e9f60ff64704aa2bc2eaa7d2073f9d442bb",
+    ("stats", "1100000", "1", "table"): "c3a514617b3a55129996ab939b4393d6cf03f0347c631cc9c32956e6bf4c91af",
+    ("stats", "1100000", "7", "json"): "fa7daafd7354ad2cac6014f824bca3a64cac40e730c050954e4848a84c1277b7",
+    ("stats", "1100000", "7", "csv"): "0dc9a4b1f0e7c3b0cbe4a0db8c162d3b5a7973d98e460ff2b4bbfe61c63113b1",
+    ("stats", "1100000", "7", "table"): "9c6c4249f14e4d9f88d0c7c464d1d87ff07b46d1b2de98bc52a01b54926d4146",
+    ("sieve", "100000", "1", "json"): "dec269cf909bfb2a344724c679159673b26bba86523cac71bc1a7931b736fb25",
+    ("sieve", "100000", "1", "csv"): "2718f889936dcb4f51a9b5a1010e528eef5b52b48fa2ffb8668b603f3f70e236",
+    ("sieve", "100000", "1", "table"): "b8edc87ca3fdf2bf1c3755ebecccf4dacda8200c2adf1557986f7479096e8f54",
+    ("sieve", "100000", "7", "json"): "7ab7d0e00c39c9c9d0dcc77e678aea6b94984c873027a3ba9f00738c23d99b3a",
+    ("sieve", "100000", "7", "csv"): "68a2ee48102b23a09ae50004a5e9a3eb12ddc99959d5846b3cb2fbe038464bee",
+    ("sieve", "100000", "7", "table"): "36c2634a6e1217038d19d48e7a7615245e8d3c00cce6e68e9d81e6cb4f151f68",
+    ("sieve", "1100000", "1", "json"): "9c07ca6e90e01381d70bd1491508ce8c651f5ef6708d36f174789b449c2816bf",
+    ("sieve", "1100000", "1", "csv"): "3686c0112e749cdd58caaf27e93d6e9f60ff64704aa2bc2eaa7d2073f9d442bb",
+    ("sieve", "1100000", "1", "table"): "d1a4fbb5cde128e720fb235e3dc9c102a78b8ebb4f821a65315f646857a9381f",
+    ("sieve", "1100000", "7", "json"): "f0788a36f3e131eee931058f6fff117e63b7718efef7f20d57030740c641ee15",
+    ("sieve", "1100000", "7", "csv"): "0dc9a4b1f0e7c3b0cbe4a0db8c162d3b5a7973d98e460ff2b4bbfe61c63113b1",
+    ("sieve", "1100000", "7", "table"): "ba6d989a007151ee3df7afc9ab54ae9af942bb198312d08971af82aa14c1aad6",
+}
+
+
+@pytest.mark.parametrize("command, x, delta, fmt", sorted(DENSITY_SHA256))
+def test_density_output_is_pinned(command, x, delta, fmt):
+    if command == "stats":
+        argv = ("stats", "--x", x, "--rmax", "64", "--delta", delta)
+    else:
+        argv = ("sieve", "--delta", delta, "--rmax", "64", "--xmax", x)
+    code, out = run_cli(*argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DENSITY_SHA256[command, x, delta, fmt]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,30 +2,54 @@ from math import gcd
 
 import pytest
 
-from serp.ed1 import Ed1Witness, ed1_candidates, ed1_reconstruct, ed1_search
+from serp import ed1
+from serp.ed1 import Ed1Witness, ed1_reconstruct, ed1_search
 from serp.errors import KernelViolation, WrongResidue
 from serp.solution import SolutionClass, classify_solution
 
 
+@pytest.fixture
+def candidates(monkeypatch):
+    """ed1_search's (gamma, c) steps, recorded in place of the divisor work."""
+
+    def walk(P, gamma_max, gamma_min=4):
+        calls = []
+
+        def record(P, gamma, c):
+            calls.append((gamma, c))
+            return []
+
+        monkeypatch.setattr(ed1, "_witnesses_for_candidate", record)
+        assert ed1_search(P, gamma_max, gamma_min) == []
+        return calls
+
+    return walk
+
+
 class TestCandidates:
-    def test_examples(self):
-        assert ed1_candidates(11, 20) == [(4, 9), (9, 20), (14, 31), (19, 42)]
-        assert ed1_candidates(31, 4) == [(4, 25)]
-        assert ed1_candidates(11, 3) == []
+    def test_examples(self, candidates):
+        assert candidates(11, 20) == [(4, 9), (9, 20), (14, 31), (19, 42)]
+        assert candidates(31, 4) == [(4, 25)]
+        assert candidates(11, 3) == []
 
     def test_wrong_residue(self):
-        with pytest.raises(WrongResidue):
-            ed1_candidates(7, 20)
-        with pytest.raises(WrongResidue):
-            ed1_candidates(73, 20)
+        for P, gamma_max in [(7, 20), (73, 20), (7, 3)]:  # even for an empty range
+            with pytest.raises(WrongResidue):
+                ed1_search(P, gamma_max)
 
-    def test_gcd_lemma_exhaustive(self, primes_up_to):
+    def test_gcd_lemma_exhaustive(self, candidates, primes_up_to):
         # gcd(gamma, c) = 1 for every candidate pair, P <= 1e4, gamma <= 100
         for P in primes_up_to(10**4, residue_mod5=1):
-            for gamma, c in ed1_candidates(P, 100):
+            pairs = candidates(P, 100)
+            assert [gamma for gamma, _ in pairs] == list(range(4, 101, 5))
+            for gamma, c in pairs:
                 assert 5 * c - 1 == gamma * P
-                assert gamma % 5 == 4
                 assert gcd(gamma, c) == 1
+
+    @pytest.mark.parametrize("gamma_min", [-3, 0, 5, 8, 10])
+    def test_unaligned_gamma_min(self, candidates, gamma_min):
+        expected = [g for g in range(4, 41, 5) if g >= gamma_min]
+        assert [gamma for gamma, _ in candidates(11, 40, gamma_min)] == expected
 
 
 class TestSearch:
@@ -80,9 +104,7 @@ class TestReconstruct:
 
     def test_json_fields(self):
         w = Ed1Witness(11, 4, 9, 3, 27)
-        assert w.as_dict() == {
-            "P": 11, "gamma": 4, "c": 9, "u": 3, "v": 27, "A": 3, "B": 9, "C": 99,
-        }
+        assert (w.P, w.gamma, w.c, w.u, w.v, w.A, w.B, w.C) == (11, 4, 9, 3, 27, 3, 9, 99)
 
 
 def test_completeness_against_oracle_small(oracle, primes_up_to):

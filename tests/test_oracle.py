@@ -61,6 +61,7 @@ def _rows(enum):
 
 
 PRIMES_1000_2000 = [p for p in range(1000, 2000) if is_prime(p)]
+PRIMES_7_10000 = [p for p in range(7, 10**4 + 1) if is_prime(p)]
 
 
 class TestEnumeration:
@@ -200,6 +201,29 @@ def test_engine_equality_at_spot_primes(oracle):
             assert ed2_reconstruct(w).triple() in triples
         for w in ed1_search(P, 200):
             assert ed1_reconstruct(w).triple() in triples
+
+
+@settings(max_examples=25, deadline=None)
+@given(P=st.sampled_from(PRIMES_7_10000))
+def test_oracle_classifies_and_contains_engines_at_default_bounds(P):
+    # every oracle triple has one or two multiples of P, never at A, and
+    # two exactly in ED2; every engine solution at P's default bound is
+    # an oracle triple (ED1 only runs for P = 1 (mod 5))
+    from serp.ed1 import default_gamma_max, ed1_reconstruct, ed1_search
+    from serp.ed2 import default_delta_max, ed2_reconstruct, ed2_search
+
+    solutions = enumerate_all_solutions(P).solutions
+    for sol in solutions:
+        mult = classify_solution(sol)
+        assert mult.count in (1, 2)
+        assert sol.A % P != 0
+        assert (mult.count == 2) == (sol.cls is SolutionClass.ED2)
+    triples = {s.triple() for s in solutions}
+    for w in ed2_search(P, default_delta_max(P)):
+        assert ed2_reconstruct(w).triple() in triples, (P, w)
+    if P % 5 == 1:
+        for w in ed1_search(P, default_gamma_max(P)):
+            assert ed1_reconstruct(w).triple() in triples, (P, w)
 
 
 def test_explicit_output_appears_in_oracle(oracle, primes_up_to):

@@ -205,11 +205,15 @@ class TestSharedPass:
         ]
 
     def test_hits_mark_class_members(self):
-        primes, scans = class_scans(1000, 30, 1)
+        # one record per admissible class, with its count and first member,
+        # and per-prime totals N(P; R, delta); no mask comes back
+        primes, totals, records = class_scans(1000, 30, 1)
         assert all(int(p) % 5 == 1 for p in primes)
-        for cls, hits in scans:
-            assert hits.shape == primes.shape
-            assert scan_class_primes(cls, 1000) == primes[hits].tolist()
+        assert [c.r for c in records] == admissible_moduli(30, 1)
+        for c in records:
+            members = scan_class_primes(build_progression_class(1, c.r), 1000)
+            assert (c.primes_found, c.first_prime) == (len(members), members[0] if members else None)
+        assert totals.tolist() == [count_local_params(int(P), 30, 1) for P in primes]
 
 
 class TestExceptional:
