@@ -6,9 +6,15 @@ is_prime is Miller-Rabin with as many fixed witnesses as are proven
 enough for n; factorize strips the primes below 1000 and splits the
 rest with Brent's rho; primes_between sieves a window by the same
 primes below 1000, one bytearray segment at a time, and hands only the
-survivors of at least 1e6 to is_prime.  All three are exact up to
-~3.3e24 (the last proven witness bound) and raise ValueError for an
-undecided input past it.
+survivors of at least 1e6 to is_prime.  factorize_progression factors
+every a + m*j of a progression: below _SIEVE_MIN_LENGTH (1024) values
+it calls factorize on each, otherwise it sieves out every prime below
+L = 2**16 at once, takes a cofactor below L**2 as prime and hands a
+larger one to factorize.  All of them are exact up to ~3.3e24 (the last
+proven witness bound) and raise ValueError for an undecided input past
+it.  Factorization.divisors_in_class lists the divisors in one residue
+class by meeting in the middle when the modulus is at least 6 and
+coprime to n.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -16,7 +22,9 @@ Everything works on plain Python integers (arbitrary precision) plus
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from array import array
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
@@ -115,6 +123,24 @@ def crt_combine(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return (r1 + m1 * t) % lcm, lcm
 
 
+def _divisors_upto(factors, upto: int) -> list[int]:
+    """The divisors <= upto of the product of the (prime, exponent) pairs,
+    unordered; partial products above upto are dropped as they appear."""
+    ds = [1] if upto >= 1 else []
+    for p, e in factors:
+        powers = [p**k for k in range(e + 1)]
+        ds = [d * q for d in ds for q in powers if d * q <= upto]
+    return ds
+
+
+# Below this modulus at most four residue classes are coprime to it, so
+# the filter keeps at least a quarter of what it builds and meeting in
+# the middle saves little.  ED2 lists mod 5 once per first-hit step of a
+# scan, mostly for N with 4 to 16 divisors, where it cost more than it
+# saved.
+_MEET_MIN_MODULUS = 6
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization as strictly increasing (prime, exponent) pairs."""
@@ -129,15 +155,50 @@ class Factorization:
     def divisors_in_class(self, residue: int, modulus: int, upto: int) -> list[int]:
         """Divisors d <= upto of n with d = residue (mod modulus), ascending.
 
-        Partial products above upto are dropped while the list is built,
-        so the work is bounded by the number of divisors <= upto.
+        When modulus >= _MEET_MIN_MODULUS, gcd(n, modulus) = 1 and n has
+        two primes or more, the prime powers are split into two halves
+        of about equal divisor count that meet in the middle
+        (Horowitz & Sahni, J. ACM 21, 1974): the left half's divisors are
+        bucketed by residue, and each right divisor d reads only the
+        bucket of residue * d**-1 (mod modulus).  Otherwise every divisor
+        <= upto is built and filtered.  Either way partial products above
+        upto are dropped while they are built.
         """
-        ds = [1] if upto >= 1 else []
-        for p, e in self.factors:
-            powers = [p**k for k in range(e + 1)]
-            ds = [d * q for d in ds for q in powers if d * q <= upto]
         residue %= modulus
-        return sorted(d for d in ds if d % modulus == residue)
+        if modulus < _MEET_MIN_MODULUS or len(self.factors) < 2 or gcd(self.n, modulus) != 1:
+            return sorted(d for d in _divisors_upto(self.factors, upto) if d % modulus == residue)
+        left, right = [], []
+        n_left = n_right = 1  # divisor counts of the halves so far
+        for p, e in self.factors:
+            if n_left <= n_right:
+                left.append((p, e))
+                n_left *= e + 1
+            else:
+                right.append((p, e))
+                n_right *= e + 1
+        buckets: dict[int, list[int]] = {}
+        for d in sorted(_divisors_upto(left, upto)):
+            buckets.setdefault(d % modulus, []).append(d)
+        # (d, residue * d**-1 mod modulus) for the right divisors d <= upto
+        keyed = [(1, residue)]
+        for p, e in right:
+            inverse = pow(p, -1, modulus)
+            grown = []
+            for d, key in keyed:
+                for _ in range(e + 1):
+                    if d > upto:
+                        break
+                    grown.append((d, key))
+                    d *= p
+                    key = key * inverse % modulus
+            keyed = grown
+        out = []
+        for d, key in keyed:
+            for x in buckets.get(key, ()):  # ascending
+                if x * d > upto:
+                    break
+                out.append(x * d)
+        return sorted(out)
 
     def squared(self) -> "Factorization":
         """Factorization of n**2 without refactoring."""
@@ -155,6 +216,16 @@ _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
 _SEGMENT = 1 << 16  # integers per primes_between segment
 _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
+
+# factorize_progression strips every prime below _SIEVE_LIMIT, so a
+# cofactor below _SIEVE_SQUARE is prime.  Its base primes are built on
+# the first sieve, never at import.
+_SIEVE_LIMIT = 1 << 16
+_SIEVE_SQUARE = _SIEVE_LIMIT * _SIEVE_LIMIT
+_SIEVE_SEGMENT = 256  # values per factorize_progression segment
+_SIEVE_MIN_LENGTH = 1024  # shorter progressions are factored value by value
+_INVERSE_BATCH = 16  # base primes whose product shares one modular inverse
+_sieve_primes: array | None = None
 
 
 def _brent_factor(n: int) -> int:
@@ -197,8 +268,11 @@ def factorize(n: int) -> Factorization:
     Brent's rho until every part is prime.  is_prime is asked only about
     parts of at least _TRIAL_LIMIT**2; smaller ones have no factor left
     to find.  A part past the deterministic primality range (~3.3e24)
-    raises ValueError.  Both engines factor once and list the divisors
-    they need in one residue class with Factorization.divisors_in_class.
+    raises ValueError.  The engines factor a whole parameter range with
+    factorize_progression, which calls this for short ranges and for
+    the cofactors its sieve leaves at or above 2**32, and list the
+    divisors they need in one residue class with
+    Factorization.divisors_in_class; the oracle calls this once per A.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -251,6 +325,98 @@ def primes_between(lo: int, hi: int) -> Iterator[int]:
             if n < _TRIAL_SQUARE or is_prime(n):
                 yield n
         lo = top
+
+
+def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
+    """factorize(a + m*j) for j in range(n), in order; a and m must be
+    >= 1 unless the range is empty.
+
+    A progression shorter than _SIEVE_MIN_LENGTH is factored value by
+    value, without the sieve's base primes.  A longer one is sieved,
+    the quadratic sieve's idea in degree one (Pomerance, EUROCRYPT
+    '84), one segment at a time as it is consumed: a prime p that does
+    not divide m divides a + m*j exactly when j = -a * m**-1 (mod p),
+    and one that divides m divides every value or none.  So every prime
+    below _SIEVE_LIMIT (L = 2**16) is struck from a segment of
+    _SIEVE_SEGMENT values at once.  A cofactor below L**2 is then prime
+    without a primality test, and a larger one goes to factorize.  A
+    value past MR_DETERMINISTIC_BOUND goes whole to factorize, which
+    decides or refuses it as it would alone.
+    """
+    if n <= 0:
+        return []
+    if a < 1 or m < 1:
+        raise ValueError(f"factorize_progression needs a, m >= 1, got a = {a}, m = {m}")
+    if n < _SIEVE_MIN_LENGTH:
+        return map(factorize, range(a, a + m * n, m))
+    return _sieve_progression(a, m, n)
+
+
+def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
+    primes, strides, nxt = _progression_strides(a, m)
+    # A stride below the segment length strikes in every segment.  A
+    # longer one strikes at most once per segment, so it waits in the
+    # bucket of the segment that holds its next index nxt[k] (the bucket
+    # sieve of Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014).
+    dense = []
+    buckets: defaultdict[int, array] = defaultdict(lambda: array("H"))
+    for k, stride in enumerate(strides):
+        if stride < _SIEVE_SEGMENT:
+            dense.append(k)
+        elif nxt[k] < n:
+            buckets[nxt[k] // _SIEVE_SEGMENT].append(k)
+    for lo in range(0, n, _SIEVE_SEGMENT):
+        values = range(a + m * lo, a + m * min(n, lo + _SIEVE_SEGMENT), m)
+        rests = list(values)
+        found: list[list[tuple[int, int]]] = [[] for _ in rests]
+        hits = [
+            (i, primes[k]) for k in dense
+            for i in range((nxt[k] - lo) % strides[k], len(rests), strides[k])
+        ]
+        for k in buckets.pop(lo // _SIEVE_SEGMENT, ()):
+            j = nxt[k]
+            hits.append((j - lo, primes[k]))
+            nxt[k] = j = j + strides[k]
+            if j < n:
+                buckets[j // _SIEVE_SEGMENT].append(k)
+        for i, p in hits:  # p divides rests[i]: record its exponent
+            q, e = rests[i] // p, 1
+            while q % p == 0:
+                q //= p
+                e += 1
+            rests[i] = q
+            found[i].append((p, e))
+        for value, rest, factors in zip(values, rests, found):
+            if value >= MR_DETERMINISTIC_BOUND:
+                yield factorize(value)
+                continue
+            factors.sort()
+            if rest >= _SIEVE_SQUARE:
+                factors += factorize(rest).factors
+            elif rest > 1:
+                factors.append((rest, 1))
+            yield Factorization(value, tuple(factors))
+
+
+def _progression_strides(a: int, m: int) -> tuple[array, array, array]:
+    """The primes p < _SIEVE_LIMIT that divide some a + m*j, with the
+    stride and the first j at which each does: stride p from
+    j = -a * m**-1 (mod p) when p does not divide m, stride 1 from j = 0
+    when p divides a and m.  One inverse modulo the product of
+    _INVERSE_BATCH primes serves them all (CRT)."""
+    global _sieve_primes
+    if _sieve_primes is None:
+        _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
+    primes, strides, first = array("I"), array("I"), array("Q")
+    for i in range(0, len(_sieve_primes), _INVERSE_BATCH):
+        batch = _sieve_primes[i : i + _INVERSE_BATCH]
+        root = -a * pow(m, -1, prod(p for p in batch if m % p))
+        for p in batch:
+            if m % p or a % p == 0:
+                primes.append(p)
+                strides.append(p if m % p else 1)
+                first.append(root % p if m % p else 0)
+    return primes, strides, first
 
 
 def squarefree_split(delta: int) -> tuple[int, int]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize
+from .arith import Factorization, factorize_progression
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -53,7 +53,9 @@ def ed1_search(P: int, gamma_max: int, gamma_min: int = 4) -> list[Ed1Witness]:
 
     c = (gamma*P + 1)/5 is integral for every such gamma when
     P = 1 (mod 5), and gcd(gamma, c) = 1 since 5c = 1 (mod gamma).
-    Deterministic order: gamma ascending, then u ascending.  Divisor
+    Deterministic order: gamma ascending, then u ascending.  c steps
+    by P as gamma steps by 5, so one sieve over that progression
+    factors every c.  Divisor
     pairs u*v = c**2 are drawn from the squared factorization of c, u
     listed only in its class -c (mod gamma) and below c; the pair
     u = v = c is excluded (it would force A = B).
@@ -61,22 +63,27 @@ def ed1_search(P: int, gamma_max: int, gamma_min: int = 4) -> list[Ed1Witness]:
     if P % 5 != 1:
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
     start = max(gamma_min, 4)
+    gamma = start + (4 - start) % 5
+    n = len(range(gamma, gamma_max + 1, 5))
     out = []
-    for gamma in range(start + (4 - start) % 5, gamma_max + 1, 5):
-        c, rem = divmod(gamma * P + 1, 5)
-        if rem or gcd(gamma, c) != 1:
+    for fc in factorize_progression((gamma * P + 1) // 5, P, n):
+        c = fc.n
+        if 5 * c - 1 != gamma * P or gcd(gamma, c) != 1:
             raise KernelViolation(f"gamma = {gamma} gives no coprime c = (gamma*P + 1)/5")
-        out.extend(_witnesses_for_candidate(P, gamma, c))
+        out.extend(_witnesses_for_candidate(P, gamma, fc))
+        gamma += 5
     return out
 
 
-def _witnesses_for_candidate(P: int, gamma: int, c: int) -> list[Ed1Witness]:
+def _witnesses_for_candidate(P: int, gamma: int, fc: Factorization) -> list[Ed1Witness]:
+    """The witnesses at gamma, given the factorization fc of c = (gamma*P + 1)/5."""
+    c = fc.n
     target = (-c) % gamma
     banned = (-c) % P
     csq = c * c
     found = []
     # u <= c - 1 keeps u < v; u = v = c is degenerate
-    for u in factorize(c).squared().divisors_in_class(target, gamma, c - 1):
+    for u in fc.squared().divisors_in_class(target, gamma, c - 1):
         v = csq // u
         # v = -c (mod gamma) follows from u*v = c^2 and gcd(gamma, c) = 1,
         # but is checked anyway as a cheap bug trap.

@@ -5,7 +5,8 @@ Every such solution satisfies the kernel identity
     (5b - 1)(5c - 1) = 5*P*delta + 1,   delta | b*c,   A = b*c/delta,
 
 so the search runs over delta and divisor pairs r*s = 5*P*delta + 1 with
-r = s = 4 (mod 5): N = 5*P*delta + 1 is factored once, its divisors
+r = s = 4 (mod 5): N = 5*P*delta + 1, a progression in delta, is
+factored by one sieve over the delta range, its divisors
 r = 4 (mod 5) up to sqrt(N) are listed, and pair_from_divisor, the only
 code that turns a divisor into a witness, rebuilds b = (r+1)/5 and
 c = (s+1)/5.  The normalized
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import factorize, squarefree_split
+from .arith import Factorization, factorize_progression, squarefree_split
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -71,15 +72,20 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
     """
     if P % 5 == 0:
         raise WrongResidue(f"ED2 search needs 5 to not divide P, got P = {P}")
+    delta = max(delta_min, 1)
     out = []
-    for delta in range(max(delta_min, 1), delta_max + 1):
-        out.extend(_witnesses_for_delta(P, delta))
+    for fN in factorize_progression(5 * P * delta + 1, 5 * P, delta_max - delta + 1):
+        out.extend(_witnesses_for_delta(P, delta, fN))
+        delta += 1
     return out
 
 
-def _witnesses_for_delta(P: int, delta: int) -> list[Ed2Witness]:
+def _witnesses_for_delta(P: int, delta: int, fN: Factorization) -> list[Ed2Witness]:
+    """The witnesses at delta, given the factorization fN of 5*P*delta + 1."""
     N = 5 * P * delta + 1
-    rs = factorize(N).divisors_in_class(4, 5, isqrt(N))
+    if fN.n != N:
+        raise KernelViolation(f"factorization of {fN.n} given for N = {N}")
+    rs = fN.divisors_in_class(4, 5, isqrt(N))
     return [w for r in rs if (w := pair_from_divisor(P, delta, r)) is not None]
 
 

@@ -13,6 +13,7 @@ from serp.arith import (
     crt_combine,
     euler_phi,
     factorize,
+    factorize_progression,
     is_prime,
     mod_inverse,
     primes_between,
@@ -276,6 +277,107 @@ class TestDivisors:
             assert all(n // d in ds for d in small)
             for d in range(1, min(n, 300) + 1):
                 assert (n % d == 0) == (d in ds)
+
+    # 11 * 13 * 17 * 19 * 23 meets in the middle for a modulus >= 6, with
+    # the halves {11, 17, 23} and {13, 19}; the other cases filter
+    @pytest.mark.parametrize(
+        "n, residue, modulus, upto",
+        [
+            (2**3 * 3**2 * 5 * 7, 0, 10, 2520),  # gcd(n, modulus) = 10
+            (2**4 * 3**3 * 11, 3, 6, 10**6),  # gcd(n, modulus) = 6
+            (7**5, 0, 7, 7**5),  # one prime, which divides the modulus
+            (3**10, 1, 8, 3**10),  # one prime, coprime to the modulus
+            (2**40, 1, 3, 10**6),  # one prime with 41 divisors
+            (11 * 13 * 17 * 19 * 23, 1, 5, 11 * 13 * 17 * 19 * 23),  # modulus below 6
+            (11 * 13 * 17 * 19 * 23, 1, 12, 0),
+            (11 * 13 * 17 * 19 * 23, 1, 12, 1),
+            (11 * 13 * 17 * 19 * 23, 1, 12, 10),  # below every left divisor but 1
+            (11 * 13 * 17 * 19 * 23, 11, 12, 12),  # reaches 11, not 13
+            (11 * 13 * 17 * 19 * 23, 1, 12, 16),  # reaches 13, not 17
+            (11 * 13 * 17 * 19 * 23, 1, 6, 300),  # buckets with left divisors past upto
+            (11 * 13 * 17 * 19 * 23, 2, 7, 10**5),
+            (11 * 13 * 17 * 19 * 23, 3, 1000, 11 * 13 * 17 * 19 * 23),
+        ],
+    )
+    def test_divisors_in_class_edge_cases(self, n, residue, modulus, upto):
+        expected = [
+            d for d in range(1, min(n, upto) + 1) if n % d == 0 and (d - residue) % modulus == 0
+        ]
+        assert factorize(n).divisors_in_class(residue, modulus, upto) == expected
+
+
+def progression_by_factorize(a, m, n):
+    return [factorize(a + m * j) for j in range(n)]
+
+
+# ED2's N(delta) = 5*P*delta + 1 and ED1's c = (4P + 1)/5 + j*P at P = 1000081
+ENGINE_PROGRESSIONS = [(5 * 1000081 + 1, 5 * 1000081), (800065, 1000081)]
+
+
+class TestFactorizeProgression:
+    @pytest.mark.parametrize("a, m", ENGINE_PROGRESSIONS)
+    @pytest.mark.parametrize("n", [-1, 0, 1] + [arith._SIEVE_MIN_LENGTH + k for k in (-1, 0, 300)])
+    def test_lengths_around_the_minimum(self, a, m, n):
+        assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
+
+    def test_short_range_builds_no_base_primes(self, monkeypatch):
+        monkeypatch.setattr(arith, "_sieve_primes", None)
+        a, m = ENGINE_PROGRESSIONS[0]
+        n = arith._SIEVE_MIN_LENGTH - 1
+        assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
+        assert arith._sieve_primes is None
+
+    def test_rejects_values_below_one(self):
+        with pytest.raises(ValueError):
+            factorize_progression(0, 5, 1)
+        with pytest.raises(ValueError):
+            factorize_progression(7, 0, 2000)
+        assert list(factorize_progression(0, 0, 0)) == []
+
+    @pytest.mark.parametrize("segment", [1, 2, 10, 97])
+    def test_small_segments(self, monkeypatch, segment):
+        monkeypatch.setattr(arith, "_SIEVE_SEGMENT", segment)
+        for a, m in ENGINE_PROGRESSIONS:
+            n = arith._SIEVE_MIN_LENGTH + 50
+            assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
+
+    def test_values_past_primality_bound_go_whole_to_factorize(self, monkeypatch):
+        monkeypatch.setattr(arith, "_SIEVE_MIN_LENGTH", 0)
+        # every value is 210 times a number below the bound, so factorize
+        # decides it although the value itself is past the bound
+        a = MR_DETERMINISTIC_BOUND // 210 * 210 + 210
+        assert list(factorize_progression(a, 210, 12)) == progression_by_factorize(a, 210, 12)
+        # 1009 * q is past the bound with q prime below it: factorize
+        # refuses it, and so does the sieve, though 1009 is a base prime
+        q = next(primes_between(MR_DETERMINISTIC_BOUND // 1009 + 1, MR_DETERMINISTIC_BOUND))
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            factorize(1009 * q)
+        with pytest.raises(ValueError, match="deterministic primality range"):
+            list(factorize_progression(1009 * q, 1, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.one_of(
+            st.integers(1, 10**6),
+            st.integers(1, 10**18),
+            st.sampled_from([65521**3, 65537 * 65539, 2**40, 3**30, 4_294_967_291**2]),
+        ),
+        m=st.integers(1, 10**9).flatmap(
+            lambda m: st.sampled_from([m, 5 * m, 2 * 3 * 5 * 7 * m, 2**16 * m, 5**6 * m])
+        ),
+        g=st.sampled_from([1, 2, 5, 6, 25, 65521]),
+        n=st.integers(0, 300),
+        segment=st.sampled_from([1, 3, 64, arith._SIEVE_SEGMENT]),
+    )
+    def test_matches_factorize(self, a, m, g, n, segment):
+        # g > 1 makes gcd(a, m) > 1; the minimum length is lifted so that
+        # short ranges are sieved too
+        a, m = a * g, m * g
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_SIEVE_SEGMENT", segment)
+            mp.setattr(arith, "_SIEVE_MIN_LENGTH", 0)
+            got = list(factorize_progression(a, m, n))
+        assert got == progression_by_factorize(a, m, n)
 
 
 class TestFactorize:

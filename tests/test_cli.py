@@ -129,6 +129,41 @@ class TestDecompose:
         assert lines[1] == "1,1,1,15,8,8,120,64,39,599,23361,15,584,8760,8"
         assert len(lines) == 5
 
+    # sha256 of `decompose P --all` stdout at P's default bounds, and of
+    # P = 1e9 + 21 at --delta-max 2000 --gamma-max 10000 (json only)
+    DECOMPOSE_ALL_SHA256 = {
+        ("11", "json"): "27f292e805140f3674667c5a8725911c70b7b2a349b58185aa19329b2621dbaf",
+        ("11", "csv"): "091d95f93bab0af63568a356d6bf2d819237257827b170802bb217c6eddb55f0",
+        ("11", "table"): "1f75feb677fad7f3b5800a41b0afca5e86af8df0fafa174fbccfa5a9521a964b",
+        ("31", "json"): "8c2fee1de68e1b9500021124657e6e0c024ae435b97b3e1bf960db75d166f391",
+        ("31", "csv"): "512bf57feda51d76dd94354fba823489733685a409e7dfb29d3037c52d2ac208",
+        ("31", "table"): "b3200addfd19c665eb943b8ea2f1555c76900dd7376017b4a5bb0d3af9f17e43",
+        ("41", "json"): "df1139f129c3cbc0eb0510dea3186f5175dc32632c81e3a889f9f1a1f046c153",
+        ("41", "csv"): "3702393f5686511aefcde4e7b9111b8c1de1954fa203e417773285876b6493c9",
+        ("41", "table"): "c995e502a752e378fc4ca2dc63aa2123fbe8ca2cc66ca605e17fe9974021fa8a",
+        ("71", "json"): "42d6cce1321e77e4d77c47b4aa5496ec11f5f7e03b98be0304db5e8fdf9d04ee",
+        ("71", "csv"): "79bd8364ff003ed8053b0b0cbf37628a3b7595f961d42e66c073b621cdfa06c0",
+        ("71", "table"): "05a907b109dcf03b4d874ba8306cacbdacf0203647ab3eb14a2fa6cb2b9ad5b4",
+        ("2521", "json"): "9e0dfcb484e70614bb815064748375e95e74cd348715ba5b3c351151acb4f246",
+        ("2521", "csv"): "dcc705221c8b6caa344d29b980307f716d2c686295f07cf2c0a28a7227ea58ed",
+        ("2521", "table"): "da1bd5e54da0f6c04411aed9f51c97a8ec2c0fc7c906dd6305ac7dfd83c1d513",
+        ("3511", "json"): "d121ee2714b5318e62a66215a7d0f1f1a429d4be07b1f0646b14885bd17343c6",
+        ("3511", "csv"): "5aaa9d313be4a2286f1a20bb613e64b69051f643cc6043b8ff5d7e4b2291b62a",
+        ("3511", "table"): "3bb44127db8cd6a31619e5844d7d87316f70ba2ea2f2a633e31a56cb35507393",
+        ("1000081", "json"): "df52b13969ab29cd3adad0c54c680bb890e7712e36c307f239deb6e9a8036c35",
+        ("1000081", "csv"): "c3791c3a2e4edf697316212c8088748f958d7b24154903bb2c021df11eff4cbd",
+        ("1000081", "table"): "a10b2d8b1da8277d86383039bf4a9788ea17145115976dfb945d3febab9557b6",
+        ("1000000021", "json"): "ac6691e453f95169999f036c238854e70a5e75ad147cbd0e73a5c44cd5c52e6f",
+    }
+
+    @pytest.mark.parametrize("P, fmt", sorted(DECOMPOSE_ALL_SHA256))
+    def test_decompose_all_output_is_pinned(self, P, fmt):
+        bounds = ["--delta-max", "2000", "--gamma-max", "10000"] if P == "1000000021" else []
+        code, out = run_cli("decompose", P, "--all", *bounds, "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.DECOMPOSE_ALL_SHA256[P, fmt]
+
 
 class TestVerify:
     def test_valid(self):

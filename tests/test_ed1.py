@@ -15,8 +15,8 @@ def candidates(monkeypatch):
     def walk(P, gamma_max, gamma_min=4):
         calls = []
 
-        def record(P, gamma, c):
-            calls.append((gamma, c))
+        def record(P, gamma, fc):
+            calls.append((gamma, fc.n))
             return []
 
         monkeypatch.setattr(ed1, "_witnesses_for_candidate", record)

@@ -91,7 +91,8 @@ def test_divisors_in_class_of_a_square(c, modulus, data):
 @given(P=st.integers(1, 10**5), delta=st.integers(1, 400))
 def test_ed2_witnesses_match_trial_division(P, delta):
     assume(P % 5)
-    assert _witnesses_for_delta(P, delta) == trial_division_witnesses(P, delta)
+    fN = factorize(5 * P * delta + 1)
+    assert _witnesses_for_delta(P, delta, fN) == trial_division_witnesses(P, delta)
 
 
 @PROPS
@@ -99,7 +100,7 @@ def test_ed2_witnesses_match_trial_division(P, delta):
 def test_ed1_witnesses_match_brute_force(P, k):
     gamma = 5 * k + 4
     c = (gamma * P + 1) // 5
-    assert _witnesses_for_candidate(P, gamma, c) == brute_ed1_witnesses(P, gamma, c)
+    assert _witnesses_for_candidate(P, gamma, factorize(c)) == brute_ed1_witnesses(P, gamma, c)
 
 
 @PROPS

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serp.arith import is_prime
+from serp.arith import factorize, is_prime
 from serp.errors import ClassificationViolation, NotPrime
 from serp.oracle import OracleEnumeration, enumerate_all_solutions
 from serp.solution import (
@@ -186,14 +186,16 @@ def test_engine_equality_at_spot_primes(oracle):
                 b, c = sol.B // P, sol.C // P
                 delta = b * c // sol.A
                 hits = [
-                    w for w in _witnesses_for_delta(P, delta) if (w.b, w.c) == (b, c)
+                    w
+                    for w in _witnesses_for_delta(P, delta, factorize(5 * P * delta + 1))
+                    if (w.b, w.c) == (b, c)
                 ]
             else:
                 c = sol.C // P
                 gamma = (5 * c - 1) // P
                 hits = [
                     w
-                    for w in _witnesses_for_candidate(P, gamma, c)
+                    for w in _witnesses_for_candidate(P, gamma, factorize(c))
                     if ed1_reconstruct(w).triple() == sol.triple()
                 ]
             assert len(hits) == 1, (P, sol)
