@@ -36,14 +36,6 @@ class BridgeResult:
     def mapped(self) -> bool:
         return self.witness is not None
 
-    @classmethod
-    def ok(cls, witness) -> "BridgeResult":
-        return cls(witness=witness)
-
-    @classmethod
-    def failed(cls, reason: str) -> "BridgeResult":
-        return cls(reason=reason)
-
     def as_dict(self) -> dict:
         return {"mapped": self.mapped, "reason": self.reason}
 
@@ -53,20 +45,20 @@ def convolve_ed2_to_ed1(w: Ed2Witness) -> BridgeResult:
     witness re-verifies."""
     s = 5 * w.c - 1
     if s % w.P:
-        return BridgeResult.failed(f"{w.P} does not divide 5c - 1 = {s}")
+        return BridgeResult(reason=f"{w.P} does not divide 5c - 1 = {s}")
     gamma = s // w.P
     u = gamma * w.A - w.c
     v = gamma * w.B - w.c
     if u <= 0 or v <= 0:
-        return BridgeResult.failed(f"non-positive pair u = {u}, v = {v}")
+        return BridgeResult(reason=f"non-positive pair u = {u}, v = {v}")
     if u > v:
         u, v = v, u
     candidate = Ed1Witness(w.P, gamma, w.c, u, v)
     try:
         ed1_reconstruct(candidate)
     except SerpError as exc:
-        return BridgeResult.failed(f"target kernel re-verification failed: {exc}")
-    return BridgeResult.ok(candidate)
+        return BridgeResult(reason=f"target kernel re-verification failed: {exc}")
+    return BridgeResult(witness=candidate)
 
 
 def anticonvolve_ed1_to_ed2(
@@ -76,30 +68,30 @@ def anticonvolve_ed1_to_ed2(
     Mapped only if a full two-multiple witness re-verifies."""
     gamma, c, u, v = q
     if gamma < 1 or c < 1:
-        return BridgeResult.failed(f"need gamma, c >= 1, got ({gamma}, {c})")
+        return BridgeResult(reason=f"need gamma, c >= 1, got ({gamma}, {c})")
     if (u + c) % gamma:
-        return BridgeResult.failed(f"{gamma} does not divide u + c = {u + c}")
+        return BridgeResult(reason=f"{gamma} does not divide u + c = {u + c}")
     A = (u + c) // gamma
     if (v + c) % gamma:
-        return BridgeResult.failed(f"{gamma} does not divide v + c = {v + c}")
+        return BridgeResult(reason=f"{gamma} does not divide v + c = {v + c}")
     if (v + c) % (gamma * P):
-        return BridgeResult.failed(f"{P} does not divide (v + c)/gamma = {(v + c) // gamma}")
+        return BridgeResult(reason=f"{P} does not divide (v + c)/gamma = {(v + c) // gamma}")
     b = (v + c) // (gamma * P)
     if A < 1 or b < 1:
-        return BridgeResult.failed(f"non-positive A = {A} or b = {b}")
+        return BridgeResult(reason=f"non-positive A = {A} or b = {b}")
     if (b * c) % A:
-        return BridgeResult.failed(f"A = {A} does not divide b*c = {b * c}")
+        return BridgeResult(reason=f"A = {A} does not divide b*c = {b * c}")
     delta = b * c // A
     lo, hi = min(b, c), max(b, c)
     # pair_from_divisor rebuilds c from N // r, so it can return another
     # pair; only (lo, hi) itself maps.
     candidate = pair_from_divisor(P, delta, 5 * lo - 1)
     if candidate is None or (candidate.b, candidate.c) != (lo, hi):
-        return BridgeResult.failed(
-            f"(b, c) = ({lo}, {hi}) is not a kernel pair for delta = {delta}"
+        return BridgeResult(
+            reason=f"(b, c) = ({lo}, {hi}) is not a kernel pair for delta = {delta}"
         )
     try:
         ed2_reconstruct(candidate)
     except SerpError as exc:
-        return BridgeResult.failed(f"target kernel re-verification failed: {exc}")
-    return BridgeResult.ok(candidate)
+        return BridgeResult(reason=f"target kernel re-verification failed: {exc}")
+    return BridgeResult(witness=candidate)

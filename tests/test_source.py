@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import importlib
 import io
 import os
 import re
@@ -109,6 +111,10 @@ import io
 import sys
 
 import serp
+
+loaded = sorted(m for m in sys.modules if m.startswith("serp."))
+if loaded:
+    sys.exit(f"submodules loaded by import serp: {loaded}")
 import serp.bridge
 import serp.cli
 import serp.lattice
@@ -176,3 +182,109 @@ def test_every_public_name_has_a_user():
     acceptance = ROOT / "tests" / "test_acceptance.py"
     used |= _imported_names(ast.parse(acceptance.read_text(), filename=str(acceptance)))
     assert sorted(set(serp.__all__) - used - {"lattice_search_m"}) == []
+
+
+def _python(script):
+    path = os.pathsep.join([str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+# The CLI needs neither the paper's lattice search, the oracle nor the
+# sieve until a subcommand imports them.
+CLI_IMPORT_SCRIPT = """
+import sys
+
+import serp.cli
+
+loaded = [m for m in ("serp.lattice", "serp.oracle", "serp.sieve", "serp._kernels", "numpy")
+          if m in sys.modules]
+if loaded:
+    sys.exit(f"loaded by import serp.cli: {loaded}")
+"""
+
+
+def test_cli_import_loads_only_what_it_uses():
+    proc = _python(CLI_IMPORT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+SUBMODULE_SCRIPT = """
+import sys
+
+import serp
+
+for name in ("arith", "ed2", "sieve"):
+    if getattr(serp, name) is not sys.modules[f"serp.{name}"]:
+        sys.exit(f"serp.{name} is not the submodule")
+"""
+
+
+def test_submodules_resolve_after_a_bare_import():
+    proc = _python(SUBMODULE_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+
+
+PUBLIC_NAMES = [
+    "BridgeResult", "Ed1Witness", "Ed2Witness", "ErrataEntry", "Factorization",
+    "MultiplicityClass", "NormalizedEd2", "OracleEnumeration", "ProgressionClass",
+    "ScanReport", "Solution", "SolutionClass", "SublatticeClass", "TABLES",
+    "anticonvolve_ed1_to_ed2", "audit_table", "average_local_params",
+    "build_progression_class", "class_count_in_box", "classify_solution",
+    "convolve_ed2_to_ed1", "crt_combine", "decompose_explicit", "default_delta_max",
+    "default_gamma_max", "delta_window_bound", "delta_window_count", "ed1_reconstruct",
+    "ed1_search", "ed2_case_a", "ed2_normalize", "ed2_reconstruct", "ed2_search",
+    "ed2_witness_row", "enumerate_all_solutions", "euler_phi", "factorize", "is_prime",
+    "lattice_search_m", "make_solution", "mod_inverse", "reconstruct_from_class",
+    "repair_distinct", "scan_class_primes", "squarefree_split", "verify_solution",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(serp.__all__) == PUBLIC_NAMES
+
+
+def _defined_names(path):
+    """Names a module binds at top level by def, class or assignment."""
+    found = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return found
+
+
+def test_each_public_name_is_its_home_modules_object():
+    star = {}
+    exec("from serp import *", star)
+    for module, names in serp._EXPORTS.items():
+        home = importlib.import_module(f"serp.{module}")
+        defined = _defined_names(SRC / f"{module}.py")
+        for name in names:
+            assert name in defined, (module, name)
+            assert getattr(serp, name) is getattr(home, name) is star[name], name
+
+
+def test_dir_lists_every_public_name():
+    assert set(serp.__all__) <= set(dir(serp))
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(example, {})
+    *rows, total = out.getvalue().splitlines()
+    assert total == "21 solutions in total"
+    rows = [ast.literal_eval(row) for row in rows]
+    assert [(r["P"], r["delta"], r["b"], r["c"]) for r in rows] == [
+        (73, 16, 12, 20), (73, 20, 10, 30), (73, 27, 9, 45), (73, 64, 8, 120),
+    ]
