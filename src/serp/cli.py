@@ -249,7 +249,7 @@ def cmd_stats(args, out) -> int:
         out.write(f"exceptional r: {list(report.exceptional)}\n")
     if fmt == "json":
         records = [report.as_dict()]
-    else:  # one row per class; skips the string-keyed copy of n_of_p
+    else:  # one row per class; n_of_p is never built
         records = [c.as_dict() for c in report.classes]
     _emit(records, CSV_FIELDS, fmt, out)
     return 0

@@ -103,8 +103,6 @@ def ed1_reconstruct(w: Ed1Witness) -> Solution:
         raise KernelViolation(f"u*v != c^2 for {w}")
     if (w.u + w.c) % w.gamma or (w.v + w.c) % w.gamma:
         raise KernelViolation(f"gamma does not divide u+c, v+c for {w}")
-    A = (w.u + w.c) // w.gamma
-    B = (w.v + w.c) // w.gamma
-    if A % w.P == 0 or B % w.P == 0:
+    if w.A % w.P == 0 or w.B % w.P == 0:
         raise KernelViolation(f"P divides A or B for {w}")
-    return make_solution(w.P, A, B, w.c * w.P, SolutionClass.ED1)
+    return make_solution(w.P, w.A, w.B, w.C, SolutionClass.ED1)

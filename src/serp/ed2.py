@@ -19,7 +19,7 @@ m = 5A - P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
 from .arith import Factorization, factorize_progression, squarefree_split
@@ -132,7 +132,7 @@ def ed2_reconstruct(w: Ed2Witness) -> Solution:
         raise KernelViolation(f"r*s != 5*P*delta + 1 for {w}")
     if (w.b * w.c) % w.delta or w.b * w.c // w.delta != w.A:
         raise KernelViolation(f"A != b*c/delta for {w}")
-    return make_solution(w.P, w.A, w.b * w.P, w.c * w.P, SolutionClass.ED2)
+    return make_solution(w.P, w.A, w.B, w.C, SolutionClass.ED2)
 
 
 def ed2_normalize(w: Ed2Witness) -> NormalizedEd2:
@@ -152,20 +152,4 @@ def ed2_normalize(w: Ed2Witness) -> NormalizedEd2:
 def ed2_witness_row(w: Ed2Witness) -> dict:
     """Wire form of a witness plus its normalization, keyed like the
     published tables (b', c' as bprime/cprime, d' as dprime)."""
-    n = ed2_normalize(w)
-    return {
-        "P": w.P,
-        "delta": w.delta,
-        "b": w.b,
-        "c": w.c,
-        "r": w.r,
-        "s": w.s,
-        "A": w.A,
-        "g": n.g,
-        "bprime": n.bprime,
-        "cprime": n.cprime,
-        "alpha": n.alpha,
-        "dprime": n.dprime,
-        "m": n.m,
-        "canonical": n.canonical,
-    }
+    return {**asdict(w), **asdict(ed2_normalize(w))}

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
+from statistics import linear_regression
 
 import numpy as np
 
@@ -44,13 +45,9 @@ class ProgressionClass:
 
 
 @dataclass(frozen=True)
-class ClassScan:
+class ClassScan(ProgressionClass):
     """Scan result for one progression class."""
 
-    delta: int
-    r: int
-    modulus: int
-    residue: int
     primes_found: int
     first_prime: int | None
 
@@ -59,18 +56,33 @@ class ClassScan:
         return {**vars(self), "exceptional": self.primes_found == 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields have no value equality
 class ScanReport:
-    """Aggregate statistics for all admissible r <= R at one (x, delta)."""
+    """Aggregate statistics for all admissible r <= R at one (x, delta).
+
+    primes are the primes P <= x with P = 1 (mod 5), ascending, and
+    totals[i] = N(primes[i]; R, delta); everything else is read from them.
+    """
 
     x: int
     R: int
     delta: int
-    prime_count: int  # primes <= x with P = 1 (mod 5)
+    primes: np.ndarray
+    totals: np.ndarray
     classes: tuple[ClassScan, ...]
-    phis: tuple[int, ...]  # phi(5r) per class
-    n_of_p: dict[int, int]
-    average: Fraction | None  # None when no qualifying primes exist
+
+    @property
+    def prime_count(self) -> int:
+        return int(self.primes.size)
+
+    @property
+    def average(self) -> Fraction | None:
+        """Mean N(P; R, delta); None when no qualifying primes exist."""
+        return Fraction(int(self.totals.sum()), self.prime_count) if self.prime_count else None
+
+    @property
+    def n_of_p(self) -> dict[int, int]:
+        return dict(zip(self.primes.tolist(), self.totals.tolist()))
 
     @property
     def per_r_counts(self) -> dict[int, int]:
@@ -78,7 +90,7 @@ class ScanReport:
 
     @property
     def phi_sum(self) -> Fraction:
-        return sum((Fraction(1, phi) for phi in self.phis), Fraction(0))
+        return sum((Fraction(1, euler_phi(c.modulus)) for c in self.classes), Fraction(0))
 
     @property
     def exceptional(self) -> tuple[int, ...]:
@@ -88,8 +100,8 @@ class ScanReport:
     def as_dict(self) -> dict:
         li_x = li_estimate(self.x)
         classes = []
-        for c, phi in zip(self.classes, self.phis):
-            expected_li = li_x / phi  # inspection only
+        for c in self.classes:
+            expected_li = li_x / euler_phi(c.modulus)  # inspection only
             classes.append({**c.as_dict(), "expected_li": expected_li,
                             "li_deviation": c.primes_found - expected_li})
         return {
@@ -101,7 +113,7 @@ class ScanReport:
             "phi_sum": str(self.phi_sum),
             "classes": classes,
             "exceptional": list(self.exceptional),
-            "n_of_p": {str(p): n for p, n in sorted(self.n_of_p.items())},
+            "n_of_p": dict(zip(map(str, self.primes.tolist()), self.totals.tolist())),
         }
 
 
@@ -197,26 +209,18 @@ def class_scans(
         found = int(np.count_nonzero(hits))
         totals += hits
         first = int(primes[hits.argmax()]) if found else None
-        classes.append(ClassScan(delta, r, cls.modulus, cls.residue, found, first))
+        classes.append(ClassScan(**vars(cls), primes_found=found, first_prime=first))
     return primes, totals, classes
 
 
 def average_local_params(x: int, R: int, delta: int) -> ScanReport:
-    """Exact mean of N(P; R, delta) over primes P <= x, P = 1 (mod 5),
-    with the per-class scans, per-prime counts, phi(5r) per class and
-    exceptional moduli.  A zero-prime range is flagged by average=None.
+    """Exact mean of N(P; R, delta) over primes P <= x, P = 1 (mod 5):
+    the report keeps class_scans' arrays and class rows, and reads the
+    mean, per-prime counts and exceptional moduli from them.  A
+    zero-prime range is flagged by average=None.
     """
     primes, totals, classes = class_scans(x, R, delta)
-    return ScanReport(
-        x=x,
-        R=R,
-        delta=delta,
-        prime_count=int(primes.size),
-        classes=tuple(classes),
-        phis=tuple(euler_phi(c.modulus) for c in classes),
-        n_of_p=dict(zip(primes.tolist(), totals.tolist())),
-        average=Fraction(int(totals.sum()), int(primes.size)) if primes.size else None,
-    )
+    return ScanReport(x, R, delta, primes, totals, tuple(classes))
 
 
 def fit_growth_constant(
@@ -227,19 +231,10 @@ def fit_growth_constant(
     The slope is a measured constant with residuals, never an asserted
     value; callers report it for inspection.
     """
-    import math
-
-    rs = sorted(R for R, rep in reports.items() if rep.average is not None)
-    if len(rs) < 2:
+    means = {R: float(m) for R, rep in sorted(reports.items()) if (m := rep.average) is not None}
+    if len(means) < 2:
         raise ValueError("need at least two R values with a defined mean")
-    xs = [math.log(R) for R in rs]
-    ys = [float(reports[R].average) for R in rs]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
-    residuals = {
-        R: y - (ybar + slope * (x - xbar)) for R, x, y in zip(rs, xs, ys)
-    }
+    xs = [log(R) for R in means]
+    slope, intercept = linear_regression(xs, list(means.values()))
+    residuals = {R: y - (intercept + slope * x) for (R, y), x in zip(means.items(), xs)}
     return slope, residuals

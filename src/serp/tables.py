@@ -50,32 +50,28 @@ class PaperTable:
     rows: tuple[dict, ...]
 
 
-def _full(alpha, bprime, cprime, g, b, c, delta, X, Y, N, A, B, C, dprime):
-    return dict(
-        alpha=alpha, bprime=bprime, cprime=cprime, g=g, b=b, c=c, delta=delta,
-        X=X, Y=Y, N=N, A=A, B=B, C=C, dprime=dprime,
-    )
+def _full(*values) -> dict:
+    return dict(zip(ROW_COLUMNS, values, strict=True))
 
 
-_FULL_COLS = ROW_COLUMNS
 _SHORT_COLS = ("A", "B", "C", "b", "c", "delta", "alpha", "dprime")
 
 TABLES: dict[str, PaperTable] = {
     "31": PaperTable(
-        "31", 31, _FULL_COLS,
+        "31", 31, ROW_COLUMNS,
         (
             _full(1, 1, 8, 1, 1, 8, 1, 4, 39, 156, 8, 31, 248, 1),
             _full(1, 1, 7, 2, 2, 14, 4, 9, 69, 621, 7, 62, 434, 2),
         ),
     ),
     "41": PaperTable(
-        "41", 41, _FULL_COLS,
+        "41", 41, ROW_COLUMNS,
         (
             _full(3, 1, 3, 3, 3, 9, 9, 14, 44, 616, 616, 123, 369, 1),
         ),
     ),
     "2521": PaperTable(
-        "2521", 2521, _FULL_COLS,
+        "2521", 2521, ROW_COLUMNS,
         (
             _full(5, 193, 2, 10, 1930, 20, 49, 9649, 99, 955251, 788, 486, 50420, 7),
             _full(9, 183, 11, 25, 4575, 275, 50, 22874, 1374, 31413876, 251, 277310, 289915, 5),
@@ -86,7 +82,7 @@ TABLES: dict[str, PaperTable] = {
     ),
     # The 3511 table prints alpha = 1, d' = 1 in its caption.
     "3511": PaperTable(
-        "3511", 3511, _FULL_COLS,
+        "3511", 3511, ROW_COLUMNS,
         (
             _full(1, 1, 878, 1, 1, 878, 1, 4, 4389, 17556, 878, 3511, 3082658, 1),
             _full(1, 3, 251, 1, 3, 251, 1, 14, 1254, 17556, 753, 10533, 881261, 1),

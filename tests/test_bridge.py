@@ -40,6 +40,26 @@ class TestConvolve:
         assert checked >= 10
 
 
+@st.composite
+def forward_inputs(draw):
+    """Two-multiple witnesses that pass the forward precondition: a prime
+    P != 5, c with P | 5c - 1, every other field an arbitrary integer."""
+    P = draw(st.sampled_from([p for p in SMALL_PRIMES if p != 5]))
+    c = pow(5, -1, P) + P * draw(st.integers(-10**6, 10**6))
+    delta, b, r, s, A = draw(st.tuples(*[st.integers(-10**6, 10**6)] * 5))
+    return Ed2Witness(P, delta, b, c, r, s, A)
+
+
+@settings(max_examples=400, deadline=None)
+@given(forward_inputs())
+def test_convolve_past_its_precondition_never_maps(w):
+    # the candidate's small denominators are A and b*P, so P always
+    # divides one of them and the one-multiple reconstruction rejects it
+    res = convolve_ed2_to_ed1(w)
+    assert (5 * w.c - 1) % w.P == 0
+    assert not res.mapped and res.witness is None and res.reason
+
+
 class TestAnticonvolve:
     def test_golden_witness_fails_multiple_filter(self):
         # v + c = 36 and gamma = 4, but 11 does not divide 36/4 = 9

@@ -210,6 +210,17 @@ class TestScan:
         assert code == 0
         assert [r["P"] for r in json_lines(out)] == [11, 31]
 
+    def test_explicit_skips_residue_one(self):
+        # the closed forms cover P != 1 (mod 5) only; asked for one, they
+        # would raise WrongResidue and the scan would exit 2
+        code, out = run_cli(
+            "scan", "--from", "7", "--to", "100", "--method", "explicit", "--format", "json"
+        )
+        assert code == 0
+        recs = json_lines(out)
+        assert {r["class"] for r in recs} == {"Explicit"}
+        assert not {r["P"] for r in recs} & {11, 31, 41, 61, 71}
+
     def test_bad_range(self):
         code, _ = run_cli("scan", "--from", "10", "--to", "5")
         assert code == 2
@@ -441,6 +452,22 @@ class TestTable:
         ]
         assert recs[0]["recomputed"] is None
         assert recs[4]["recomputed"]["b"] == 39
+
+    # sha256 of the errata report `table T --check` in the csv and table
+    # layouts, the ones built row by row from both value sets
+    ERRATA_SHA256 = {
+        ("41", "csv"): "08c020a696b61f44382de9c8beeb9811cf0d753c75ef5a1eff04f9ba3b825def",
+        ("41", "table"): "ccb74591dc7e28059b36caff2c6e820876ba5f98bef43ac11f1545f61679c073",
+        ("2521", "csv"): "e41d451ad0359eedcd3e7d75ed3fb5ce669a4599c981b879b163a7959e7cefd9",
+        ("2521", "table"): "8796fae8983c4b6d5a2ff7910ba714d93bc66e8fd09c634cf1a85da80d3c8b78",
+    }
+
+    @pytest.mark.parametrize("table_id, fmt", sorted(ERRATA_SHA256))
+    def test_errata_report_is_pinned(self, table_id, fmt):
+        code, out = run_cli("table", table_id, "--check", "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.ERRATA_SHA256[table_id, fmt]
 
     def test_printed_rows_without_check(self):
         code, out = run_cli("table", "41", "--format", "json")
