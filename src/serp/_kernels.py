@@ -1,9 +1,9 @@
 """Prime-sieve kernels in numpy.
 
 prime_mask is a read-only full boolean mask; class_primes takes its base
-primes up to sqrt(limit) from it and then sieves [2, limit] one segment
-at a time, walking the residue class with stride = modulus, so memory
-stays at one segment's class members regardless of the scan limit.
+primes up to sqrt(limit) from it and sieves the members of the residue
+class with arith's progression sieve, one segment of SEGMENT members at
+a time, so memory stays at one segment whatever the scan limit.
 """
 
 from __future__ import annotations
@@ -12,33 +12,9 @@ from math import isqrt
 
 import numpy as np
 
-SEGMENT = 1 << 20
+from .arith import _sieve_flags
 
-
-def _class_primes_segmented(
-    residue: int, modulus: int, limit: int, base: np.ndarray, segment: int
-) -> np.ndarray:
-    # Only the class members are sieved.  The members of [lo, hi) that a
-    # base prime p divides are every p-th one (p coprime to modulus) or
-    # all or none of them (p | modulus); each p strikes from p*p on.
-    strikes = [(p, p * p, pow(modulus, -1, p) if modulus % p else None) for p in map(int, base)]
-    chunks = []
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + segment, limit + 1)
-        first = lo + (residue - lo) % modulus
-        members = np.arange(first, hi, modulus, dtype=np.int64)
-        keep = np.ones(members.size, dtype=np.bool_)
-        for p, square, inverse in strikes:
-            k = max(0, -((first - square) // modulus))  # first member >= p*p
-            m = first + k * modulus
-            if inverse is not None:
-                keep[k + -m * inverse % p :: p] = False
-            elif m % p == 0:
-                keep[k:] = False
-        chunks.append(members[keep])
-        lo = hi
-    return np.concatenate(chunks)
+SEGMENT = 1 << 18  # class members per class_primes segment
 
 
 def prime_mask(limit: int) -> np.ndarray:
@@ -61,5 +37,12 @@ def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:
     residue %= modulus
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
-    return _class_primes_segmented(residue, modulus, limit, base, SEGMENT)
+    base = np.flatnonzero(prime_mask(isqrt(limit))).tolist()
+    first = 2 + (residue - 2) % modulus  # the least member >= 2
+    # the base primes in the class, then the members no base prime divides
+    chunks = [np.array([p for p in base if p % modulus == residue], dtype=np.int64)]
+    lo = 0
+    for flags in _sieve_flags(first, modulus, (limit - first) // modulus + 1, base, SEGMENT):
+        chunks.append(first + modulus * (lo + np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))))
+        lo += len(flags)
+    return np.concatenate(chunks)

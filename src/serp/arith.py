@@ -5,16 +5,15 @@ split.
 is_prime is Miller-Rabin with as many fixed witnesses as are proven
 enough for n; factorize strips the primes below 1000 and splits the
 rest with Brent's rho; primes_between sieves a window by the same
-primes below 1000, one bytearray segment at a time, and hands only the
-survivors of at least 1e6 to is_prime.  factorize_progression factors
-every a + m*j of a progression: below _SIEVE_MIN_LENGTH (1024) values
-it calls factorize on each, otherwise it sieves out every prime below
-L = 2**16 at once, takes a cofactor below L**2 as prime and hands a
-larger one to factorize.  All of them are exact up to ~3.3e24 (the last
-proven witness bound) and raise ValueError for an undecided input past
-it.  Factorization.divisors_in_class lists the divisors in one residue
-class by meeting in the middle when the modulus is at least 6 and
-coprime to n.
+primes below 1000 and hands only the survivors of at least 1e6 to
+is_prime.  factorize_progression factors every a + m*j: below 1024
+values it calls factorize on each, otherwise it sieves out every prime
+below L = 2**16, takes a cofactor below L**2 as prime and hands a
+larger one to factorize.  Each sieve, _kernels.class_primes too, takes
+where a prime first divides a + m*j from progression_strides.  All are
+exact up to ~3.3e24 (the last proven witness bound) and raise
+ValueError for an undecided input past it.  divisors_in_class meets in
+the middle when the modulus is at least 6 and coprime to n.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
@@ -303,28 +302,22 @@ def factorize(n: int) -> Factorization:
 def primes_between(lo: int, hi: int) -> Iterator[int]:
     """The primes p with lo <= p <= hi, ascending, as a generator.
 
-    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977):
-    each segment of _SEGMENT integers is a bytearray in which the
-    multiples of the primes below _TRIAL_LIMIT, from their squares on,
-    are struck.  A survivor below _TRIAL_LIMIT**2 is prime; a larger
-    one is asked of is_prime.  Memory stays at one segment whatever the
-    range, and the generator yields each segment's primes before it
-    sieves the next.
+    The base primes are those below _TRIAL_LIMIT with p*p <= hi.  The
+    ones in [lo, hi] come first; then _sieve_flags strikes every
+    multiple of a base prime from [lo, hi], one segment of _SEGMENT
+    integers at a time.  A survivor exceeds every base prime, so one
+    below _TRIAL_LIMIT**2 is prime and a larger one is asked of
+    is_prime.  Memory stays at one segment whatever the range, and the
+    generator yields each segment's primes before it sieves the next.
     """
     lo = max(lo, 2)
-    while lo <= hi:
-        top = min(lo + _SEGMENT, hi + 1)  # this segment is [lo, top)
-        size = top - lo
-        seg = bytearray(b"\x01") * size
-        for p in _TRIAL_PRIMES:
-            if p * p >= top:
-                break
-            offset = max(p * p, -(-lo // p) * p) - lo
-            seg[offset::p] = bytes(len(range(offset, size, p)))
-        for n in compress(range(lo, top), seg):
+    base = [p for p in _TRIAL_PRIMES if p * p <= hi]
+    yield from (p for p in base if p >= lo)
+    for flags in _sieve_flags(lo, 1, hi - lo + 1, base, _SEGMENT):
+        for n in compress(range(lo, lo + len(flags)), flags):
             if n < _TRIAL_SQUARE or is_prime(n):
                 yield n
-        lo = top
+        lo += len(flags)
 
 
 def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
@@ -353,7 +346,10 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
 
 
 def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
-    primes, strides, nxt = _progression_strides(a, m)
+    global _sieve_primes
+    if _sieve_primes is None:
+        _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
+    primes, strides, nxt = progression_strides(a, m, _sieve_primes)
     # A stride below the segment length strikes in every segment.  A
     # longer one strikes at most once per segment, so it waits in the
     # bucket of the segment that holds its next index nxt[k] (the bucket
@@ -398,25 +394,40 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
             yield Factorization(value, tuple(factors))
 
 
-def _progression_strides(a: int, m: int) -> tuple[array, array, array]:
-    """The primes p < _SIEVE_LIMIT that divide some a + m*j, with the
-    stride and the first j at which each does: stride p from
+def progression_strides(a: int, m: int, primes: Sequence[int]) -> tuple[array, array, array]:
+    """The primes that divide some a + m*j (j >= 0), in the order given,
+    with the stride and the first j at which each does: stride p from
     j = -a * m**-1 (mod p) when p does not divide m, stride 1 from j = 0
-    when p divides a and m.  One inverse modulo the product of
+    when p divides a and m.  A prime that divides m but not a divides no
+    value and is dropped.  One inverse modulo the product of
     _INVERSE_BATCH primes serves them all (CRT)."""
-    global _sieve_primes
-    if _sieve_primes is None:
-        _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
-    primes, strides, first = array("I"), array("I"), array("Q")
-    for i in range(0, len(_sieve_primes), _INVERSE_BATCH):
-        batch = _sieve_primes[i : i + _INVERSE_BATCH]
+    kept, strides, first = array("I"), array("I"), array("Q")
+    for i in range(0, len(primes), _INVERSE_BATCH):
+        batch = primes[i : i + _INVERSE_BATCH]
         root = -a * pow(m, -1, prod(p for p in batch if m % p))
         for p in batch:
             if m % p or a % p == 0:
-                primes.append(p)
+                kept.append(p)
                 strides.append(p if m % p else 1)
                 first.append(root % p if m % p else 0)
-    return primes, strides, first
+    return kept, strides, first
+
+
+def _sieve_flags(
+    a: int, m: int, n: int, primes: Sequence[int], segment: int
+) -> Iterator[bytearray]:
+    """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over
+    a + m*j, j < n: per segment, a bytearray that is 0 where a prime in
+    primes divides the value, the prime itself included."""
+    strikes = list(zip(*progression_strides(a, m, primes)[1:]))
+    zeros = memoryview(bytes(min(segment, max(n, 0))))
+    for lo in range(0, n, segment):
+        size = min(segment, n - lo)
+        flags = bytearray(b"\x01") * size
+        for stride, j in strikes:
+            offset = (j - lo) % stride
+            flags[offset::stride] = zeros[: len(range(offset, size, stride))]
+        yield flags
 
 
 def squarefree_split(delta: int) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from .arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
 from .ed2 import default_delta_max, ed2_reconstruct, ed2_search
-from .errors import DeltaFilterFailed, InvariantViolation, SerpError
+from .errors import DeltaFilterFailed, InvariantViolation, SerpError, WrongResidue
 from .explicit import decompose_explicit, repair_distinct
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
 from .tables import ROW_COLUMNS, TABLE_IDS, TABLES, audit_table, row_from_bc
@@ -130,6 +130,8 @@ def _decompose(P: int, method: str, gamma_max: int, delta_max: int,
         if not weak:
             sol = repair_distinct(sol)
         return [sol]
+    if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
+        raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
     # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (search,
     # reconstruct, parameter steps).  Built per call, not at module level,
     # so a wrapper later bound to a search's module name is the one called.

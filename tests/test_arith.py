@@ -17,6 +17,7 @@ from serp.arith import (
     is_prime,
     mod_inverse,
     primes_between,
+    progression_strides,
     squarefree_split,
 )
 from serp.errors import InconsistentCongruence, NotInvertible
@@ -312,6 +313,37 @@ def progression_by_factorize(a, m, n):
 
 # ED2's N(delta) = 5*P*delta + 1 and ED1's c = (4P + 1)/5 + j*P at P = 1000081
 ENGINE_PROGRESSIONS = [(5 * 1000081 + 1, 5 * 1000081), (800065, 1000081)]
+
+
+BASE_PRIMES = list(primes_between(2, 2**16 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(1, 10**18),
+    m=st.integers(1, 10**12),
+    g=st.sampled_from([1, 2, 6, 5**3, 65521, 2 * 3 * 5 * 7 * 11 * 13]),
+    h=st.sampled_from([1, 3, 10, 65519]),
+    primes=st.lists(
+        st.one_of(st.sampled_from(BASE_PRIMES[:8]), st.sampled_from(BASE_PRIMES)),
+        max_size=40,
+        unique=True,
+    ),
+)
+def test_progression_strides_give_each_primes_first_index(a, m, g, h, primes):
+    # g makes gcd(a, m) > 1, and h gives m primes that a may lack
+    a, m = a * g, m * g * h
+    kept, strides, first = progression_strides(a, m, primes)
+    assert len(kept) == len(strides) == len(first)
+    assert all(p in primes for p in kept)
+    for p, stride, j in zip(kept, strides, first):
+        assert stride == (p if m % p else 1)
+        assert j < stride
+        assert (a + m * j) % p == 0
+        assert (a + m * (j + stride)) % p == 0
+        assert all((a + m * i) % p for i in range(j))
+    for p in set(primes) - set(kept):  # p divides every difference, not a
+        assert m % p == 0 and a % p != 0
 
 
 class TestFactorizeProgression:

@@ -86,6 +86,14 @@ class TestDecompose:
         code, _ = run_cli("decompose", "11", "--method", "explicit")
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--all"]])
+    def test_ed1_rejects_wrong_residue_before_searching(self, capsys, extra):
+        # with --gamma-max 3 the first-hit loop has no gamma to search
+        code, out = run_cli("decompose", "7", "--method", "ed1", "--gamma-max", "3", *extra)
+        assert code == 2
+        assert out == ""
+        assert "ED1 search needs P = 1 (mod 5), got P = 7" in capsys.readouterr().err
+
     def test_p5_rejected(self):
         code, _ = run_cli("decompose", "5")
         assert code == 2
@@ -345,7 +353,8 @@ class TestStats:
 
 
 # sha256 of `stats --x X --rmax 64 --delta D` and `sieve --delta D --rmax 64
-# --xmax X` stdout; X = 1100000 crosses _kernels.SEGMENT
+# --xmax X` stdout; tests/test_kernels.py crosses class_primes' segment
+# boundaries
 DENSITY_SHA256 = {
     ("stats", "100000", "1", "json"): "9546b9759d1f20f86145955969946e6753ba4aa76ee41037426319458a73e4b6",
     ("stats", "100000", "1", "csv"): "2718f889936dcb4f51a9b5a1010e528eef5b52b48fa2ffb8668b603f3f70e236",

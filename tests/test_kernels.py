@@ -33,23 +33,22 @@ class TestClassPrimes:
     def test_limit_below_first_member(self):
         assert class_primes(91, 95, 50).size == 0
 
-    def test_segmented_paths_match_full_mask(self):
-        # small segments, so classes straddle many segment boundaries
-        limit = 3 * 10**5
-        base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
-        mask = prime_mask(limit)
-        for residue, modulus in [(11, 20), (1, 5), (16, 45), (91, 95)]:
-            members = np.arange(residue if residue >= 2 else residue + modulus, limit + 1, modulus)
-            expected = members[mask[members]].tolist()
-            got = _kernels._class_primes_segmented(
-                residue, modulus, limit, base, segment=2**12
-            ).tolist()
-            assert got == expected
+    def test_segmented_paths_match_full_mask(self, monkeypatch):
+        # small segments, so classes straddle many segment boundaries;
+        # one-member segments over a shorter range, to keep the test fast
+        for segment, limit in [(1, 3 * 10**4), (2**12, 3 * 10**5)]:
+            monkeypatch.setattr(_kernels, "SEGMENT", segment)
+            mask = prime_mask(limit)
+            for residue, modulus in [(11, 20), (1, 5), (16, 45), (91, 95)]:
+                members = np.arange(residue if residue >= 2 else residue + modulus, limit + 1, modulus)
+                expected = members[mask[members]].tolist()
+                assert class_primes(residue, modulus, limit).tolist() == expected
 
-    def test_public_entry_matches_full_mask(self):
-        # every limit of at least 2 goes through the segmented sieve:
-        # small ones, and one past the first segment
-        for limit in [*range(2, 120), _kernels.SEGMENT + 10**5]:
+    def test_public_entry_matches_full_mask(self, monkeypatch):
+        # small limits, and one whose classes cross a segment boundary
+        # (a segment counts class members, so 2**12 of them at most)
+        monkeypatch.setattr(_kernels, "SEGMENT", 2**12)
+        for limit in [*range(2, 120), 2**20 + 10**5]:
             mask = prime_mask(limit)
             for residue, modulus in [(0, 1), (0, 2), (1, 2), (1, 5), (11, 20), (91, 95)]:
                 members = np.arange(residue, limit + 1, modulus)
@@ -61,12 +60,13 @@ class TestClassPrimes:
     modulus=st.integers(1, 300),
     residue=st.integers(-300, 300),
     limit=st.integers(2, 3 * 10**4),
-    segment=st.sampled_from([97, 1000, 2**12, _kernels.SEGMENT]),
+    segment=st.sampled_from([1, 97, 1000, 2**12, _kernels.SEGMENT]),
 )
 def test_class_sieve_matches_full_mask(modulus, residue, limit, segment):
     # residues sharing a prime with the modulus strike all members or none
-    base = np.flatnonzero(prime_mask(isqrt(limit))).astype(np.int64)
     members = np.arange(residue % modulus, limit + 1, modulus)
     expected = members[prime_mask(limit)[members]]
-    got = _kernels._class_primes_segmented(residue % modulus, modulus, limit, base, segment)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "SEGMENT", segment)
+        got = class_primes(residue, modulus, limit)
     assert np.array_equal(got, expected)
