@@ -8,8 +8,11 @@ stdout is not a TTY, an aligned table when it is, CSV on request.
 Every subcommand builds plain records and hands them to _emit, the one
 place that knows the three formats.  json and csv are written record by
 record, so a scan streams its solutions; only the table waits for the
-last record, because it needs the column widths.  numpy is imported by
-sieve and stats alone, when they run.
+last record, because it needs the column widths.  The one exception is
+the stats json record: _emit_streaming writes it with its per-prime
+n_of_p object in pieces, as the sieve formats them, so that object is
+never held whole.  numpy is imported by sieve and stats alone, when
+they run.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation.
@@ -53,17 +56,22 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
     """The one serialiser of every subcommand.
 
-    json writes each whole record as a compact, key-sorted line; csv and
-    table write the given columns, a missing key or None as an empty
-    cell and a nested value as its JSON text.  json and csv write each
-    record as it comes; the table reads them all first, for the widths.
+    json writes each record as a compact, key-sorted line, whole except
+    for the stats record (see _emit_streaming); csv and table write the
+    given columns, a missing key or None as an empty cell and a nested
+    value as its JSON text.  json and csv write each record as it comes;
+    the table reads them all first, for the widths.
     """
     if fmt == "json":
         for record in records:
-            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(_json(record) + "\n")
         return
     rows = ([_cell(r.get(c)) for c in columns] for r in records)
     if fmt == "csv":
@@ -75,6 +83,24 @@ def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
     widths = [max([len(c)] + [len(row[i]) for row in cells]) for i, c in enumerate(columns)]
     for row in [list(columns)] + cells:
         out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+
+
+def _emit_streaming(record: dict, key: str, members: Iterable[str], out) -> None:
+    """_emit's json line for record plus an object at key that arrives as
+    text pieces of comma-joined '"name":value' members in key order.
+
+    record holds keys that sort before key and keys that sort after it;
+    both parts are dumped as _emit dumps them, and each piece is written
+    as it comes.
+    """
+    head = _json({k: v for k, v in record.items() if k < key})
+    tail = _json({k: v for k, v in record.items() if k > key})
+    out.write(f"{head[:-1]},{json.dumps(key)}:{{")
+    sep = ""
+    for piece in members:
+        out.write(sep + piece)
+        sep = ","
+    out.write(f"}},{tail[1:]}\n")
 
 
 def _pick_format(args) -> str:
@@ -250,10 +276,9 @@ def cmd_stats(args, out) -> int:
         out.write(f"sum 1/phi(5r): {report.phi_sum}\n")
         out.write(f"exceptional r: {list(report.exceptional)}\n")
     if fmt == "json":
-        records = [report.as_dict()]
-    else:  # one row per class; n_of_p is never built
-        records = [c.as_dict() for c in report.classes]
-    _emit(records, CSV_FIELDS, fmt, out)
+        _emit_streaming(report.as_dict(), "n_of_p", report.n_of_p_json(), out)
+    else:  # one row per class; n_of_p is never written
+        _emit([c.as_dict() for c in report.classes], CSV_FIELDS, fmt, out)
     return 0
 
 

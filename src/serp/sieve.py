@@ -17,11 +17,14 @@ class contains no prime <= x.  Every class is a subset of the primes
 P = 1 (mod 5), so class_scans sieves [2, x] once, then marks, counts
 and drops each class's members in turn: it returns each class's count
 and first member and N(P; R, delta) per prime, and no class mask leaves
-this module.
+this module.  It refuses, before sieving, an x whose estimated working
+set passes WORKING_SET_BUDGET.  The per-prime counts reach json as text
+pieces in key order (ScanReport.n_of_p_json), never as one dict.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
@@ -32,8 +35,15 @@ import numpy as np
 from ._kernels import class_primes
 from .arith import euler_phi, mod_inverse, crt_combine
 from .ed2 import ed2_reconstruct, pair_from_divisor
-from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime
+from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime, SerpError
 from .solution import Solution
+
+# Peak bytes per prime P = 1 (mod 5) while stats runs: primes and totals
+# (int64 each), then either a class's primes % modulus and its mask, or
+# the sort key and order of n_of_p_json (int64 each).
+BYTES_PER_PRIME = 32
+WORKING_SET_BUDGET = 1 << 30  # bytes; class_scans refuses x past it
+N_OF_P_CHUNK = 1 << 15  # n_of_p members per json piece
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,7 @@ class ScanReport:
         return tuple(c.r for c in self.classes if c.primes_found == 0)
 
     def as_dict(self) -> dict:
+        """The json record without n_of_p, whose members n_of_p_json streams."""
         li_x = li_estimate(self.x)
         classes = []
         for c in self.classes:
@@ -113,8 +124,29 @@ class ScanReport:
             "phi_sum": str(self.phi_sum),
             "classes": classes,
             "exceptional": list(self.exceptional),
-            "n_of_p": dict(zip(map(str, self.primes.tolist()), self.totals.tolist())),
         }
+
+    def n_of_p_json(self) -> Iterator[str]:
+        """n_of_p's members as json text '"P":N,"P":N,...', N_OF_P_CHUNK
+        members a piece, in the order of json.dumps(sort_keys=True): by
+        the decimal string of P, so "100003" precedes "11".
+
+        That is the order of P padded with zeros to the digit count of the
+        largest prime.  No two primes share a padded key, since neither
+        of two primes is the other times a power of ten.
+        """
+        primes, totals = self.primes, self.totals
+        if not primes.size:
+            return
+        digits = len(str(int(primes[-1])))
+        padded = primes.copy()
+        for k in range(1, digits):  # primes ascend: those below 10**k lead
+            padded[: np.searchsorted(primes, 10**k)] *= 10
+        order = padded.argsort()
+        del padded
+        for start in range(0, order.size, N_OF_P_CHUNK):
+            idx = order[start : start + N_OF_P_CHUNK]
+            yield ",".join(map('"{}":{}'.format, primes[idx].tolist(), totals[idx].tolist()))
 
 
 def _check_delta(delta: int) -> None:
@@ -190,6 +222,15 @@ def li_estimate(x: int) -> float:
     return float(pairwise(2, x - 1))
 
 
+def working_set_bytes(x: int) -> int:
+    """Estimated peak bytes of a stats or sieve run at x: BYTES_PER_PRIME
+    for each prime P <= x, P = 1 (mod 5), counted as a quarter of
+    Rosser and Schoenfeld's bound pi(x) < 1.25506 x / log x (x > 1)."""
+    if x < 2:
+        return 0
+    return int(BYTES_PER_PRIME * 1.25506 * x / (4 * log(x)))
+
+
 def class_scans(
     x: int, R: int, delta: int
 ) -> tuple[np.ndarray, np.ndarray, list[ClassScan]]:
@@ -198,8 +239,15 @@ def class_scans(
     Returns the primes P <= x with P = 1 (mod 5), ascending; totals,
     where totals[i] = N(primes[i]; R, delta); and one ClassScan per
     admissible r, ascending.  Each class's mask over the primes is built,
-    counted and added into totals, then dropped.
+    counted and added into totals, then dropped.  An x past the
+    working-set budget fails before anything is sieved.
     """
+    need = working_set_bytes(x)
+    if need > WORKING_SET_BUDGET:
+        raise SerpError(
+            f"x = {x} needs about {need >> 20} MiB, past the "
+            f"{WORKING_SET_BUDGET >> 20} MiB working-set budget"
+        )
     primes = class_primes(1, 5, x)
     totals = np.zeros(primes.size, dtype=np.int64)
     classes = []

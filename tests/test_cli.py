@@ -2,14 +2,17 @@ import csv
 import hashlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serp.cli as cli_mod
+from serp import sieve
 from serp.arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from serp.cli import main
+from serp.errors import SerpError
 from serp.explicit import decompose_explicit
 from serp.solution import verify_solution
 
@@ -392,6 +395,111 @@ def test_density_output_is_pinned(command, x, delta, fmt):
     code, out = run_cli(*argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DENSITY_SHA256[command, x, delta, fmt]
+
+
+# sha256 of `stats --x X --rmax 256 --delta D` stdout, recorded before
+# n_of_p was streamed: the density benchmark's inputs at X = 1e7, no
+# prime at X = 10 ("n_of_p":{} and "average":null), one prime at X = 11
+STATS_SHA256 = {
+    ("10000000", "1", "json"): "9a5ddf08b0a5c4e0466e32d5b38bc2ba7462bf39095f05a1acd3d987d4e406fd",
+    ("10000000", "1", "csv"): "56e7df201c0643aa9327abb1db27795495f0bc02aa174c21d17ede91d2a149c2",
+    ("10000000", "1", "table"): "62e2d1c746604aed8edeac25e703647e11c34d6bdcf195937b97a6ee0127ac73",
+    ("10000000", "5", "json"): "f20320596d602bb4a52a404ce01a15f9540283133bbaf254312fb381ecbe29e5",
+    ("10000000", "5", "csv"): "a60c36171d81ba90097da508135213d59fcc0824a78cc17e6eaa1e27c61a0108",
+    ("10000000", "5", "table"): "4a74cd10fb4b832838a71785f89bc898ca957081b98bff834cc82d3cfeefcaab",
+    ("10000000", "25", "json"): "03f687a66c7131afb54ade81be22ad711072e1009782e17a79193bbe43479366",
+    ("10000000", "25", "csv"): "fc741264bb0ed20bec2452ca8a71aa9f478c804236a836c617f577d76c812c6f",
+    ("10000000", "25", "table"): "be245c485aa8ded1bb8881792629418e7bf980ac80520fc0c0066c15e31187ad",
+    ("10", "1", "json"): "05421cc218d2431b319925172aea8d4d840136708dbd66c554dcce8bd24db14d",
+    ("10", "1", "csv"): "318c35f9895f6625108b312220ae25c902d27566d7bc19ade997799264f2b9d3",
+    ("10", "1", "table"): "37fa5786be121b87ea1e5d778672e3703dc3137e4b877b44c5cbca8d30682681",
+    ("11", "1", "json"): "41645f76a79aca28c3de56a1bac218d354bc924d80cbdfdb0cc95e7f77f92a86",
+    ("11", "1", "csv"): "ae0e7a6d341faccba7fe1ecfae71a008e4e35dd2946c314627644d1602663b3f",
+    ("11", "1", "table"): "fde0453515cf34da2b8886d233ede6a41229b60fe6bed58d81eb6d34950a175c",
+}
+
+
+@pytest.mark.parametrize("x, delta, fmt", sorted(STATS_SHA256))
+def test_stats_output_is_pinned(x, delta, fmt):
+    code, out = run_cli("stats", "--x", x, "--rmax", "256", "--delta", delta, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STATS_SHA256[x, delta, fmt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    offset=st.integers(-40, 40),
+    R=st.integers(1, 80),
+    delta=st.integers(1, 30),
+    chunk=st.integers(1, 50),
+)
+def test_streamed_stats_line_is_one_dumps(k, offset, R, delta, chunk):
+    # x near a power of ten, where the keys' string order leaves numeric
+    # order ("100003" < "11"), and pieces small enough to split n_of_p
+    x = max(1, 10**k + offset)
+    with mock.patch.object(sieve, "N_OF_P_CHUNK", chunk):
+        code, out = run_cli(
+            "stats", "--x", str(x), "--rmax", str(R), "--delta", str(delta), "--format", "json"
+        )
+    assert code == 0
+    report = sieve.average_local_params(x, R, delta)
+    n_of_p = {str(P): n for P, n in zip(report.primes.tolist(), report.totals.tolist())}
+    record = {**report.as_dict(), "n_of_p": n_of_p}
+    assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_stats_json_writes_in_bounded_pieces():
+    # 1e7 holds 166,104 primes = 1 (mod 5): six pieces of n_of_p, none
+    # longer than N_OF_P_CHUNK members of at most '"9999991":51,'
+    writes = []
+    stream = mock.Mock(write=writes.append)
+    argv = ["stats", "--x", "10000000", "--rmax", "256", "--delta", "1", "--format", "json"]
+    assert main(argv, out=stream) == 0
+    assert len(writes) >= 2 + 166104 // sieve.N_OF_P_CHUNK
+    assert max(map(len, writes)) <= sieve.N_OF_P_CHUNK * len('"9999991":51,') + 1
+    digest = hashlib.sha256("".join(writes).encode()).hexdigest()
+    assert digest == STATS_SHA256["10000000", "1", "json"]
+
+
+@pytest.mark.parametrize("command", ["stats", "sieve"])
+def test_working_set_past_budget_exits_2_before_sieving(command, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("class_primes ran past the working-set budget")
+
+    monkeypatch.setattr(sieve, "class_primes", refuse)
+    x = 10
+    while sieve.working_set_bytes(x) <= sieve.WORKING_SET_BUDGET:
+        x *= 10
+    flag = "--x" if command == "stats" else "--xmax"
+    code, out = run_cli(command, flag, str(x), "--rmax", "64", "--delta", "1", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "working-set budget" in capsys.readouterr().err
+
+
+def test_largest_x_under_budget_is_accepted(monkeypatch):
+    lo, hi = 2, 10**12  # working_set_bytes(lo) <= budget < working_set_bytes(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sieve.working_set_bytes(mid) <= sieve.WORKING_SET_BUDGET else (lo, mid)
+    with pytest.raises(SerpError, match="working-set budget"):
+        sieve.class_scans(hi, 64, 1)
+
+    class Sieved(Exception):
+        pass
+
+    def stop(*args):
+        raise Sieved
+
+    monkeypatch.setattr(sieve, "class_primes", stop)
+    with pytest.raises(Sieved):  # past the guard, at the sieve
+        sieve.class_scans(lo, 64, 1)
+
+
+def test_working_set_estimate_covers_the_primes():
+    for x in (10, 11, 10**4, 10**6, 10**7):
+        count = sieve.class_primes(1, 5, x).size
+        assert sieve.working_set_bytes(x) >= sieve.BYTES_PER_PRIME * count
 
 
 @pytest.mark.parametrize(
