@@ -22,7 +22,6 @@ Everything works on plain Python integers (arbitrary precision) plus
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -221,7 +220,7 @@ _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
 # the first sieve, never at import.
 _SIEVE_LIMIT = 1 << 16
 _SIEVE_SQUARE = _SIEVE_LIMIT * _SIEVE_LIMIT
-_SIEVE_SEGMENT = 256  # values per factorize_progression segment
+_SIEVE_SEGMENT = 512  # values per factorize_progression segment
 _SIEVE_MIN_LENGTH = 1024  # shorter progressions are factored value by value
 _INVERSE_BATCH = 16  # base primes whose product shares one modular inverse
 _sieve_primes: array | None = None
@@ -331,10 +330,13 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
     not divide m divides a + m*j exactly when j = -a * m**-1 (mod p),
     and one that divides m divides every value or none.  So every prime
     below _SIEVE_LIMIT (L = 2**16) is struck from a segment of
-    _SIEVE_SEGMENT values at once.  A cofactor below L**2 is then prime
-    without a primality test, and a larger one goes to factorize.  A
-    value past MR_DETERMINISTIC_BOUND goes whole to factorize, which
-    decides or refuses it as it would alone.
+    _SIEVE_SEGMENT values at once, from the first index that
+    progression_strides gives, by the rule of _sieve_flags.  The primes
+    are struck in ascending order, so each value's factors come out
+    sorted.  A cofactor below L**2 is then prime without a primality
+    test, and a larger one goes to factorize.  A value past
+    MR_DETERMINISTIC_BOUND goes whole to factorize, which decides or
+    refuses it as it would alone.
     """
     if n <= 0:
         return []
@@ -349,44 +351,34 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
     global _sieve_primes
     if _sieve_primes is None:
         _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
-    primes, strides, nxt = progression_strides(a, m, _sieve_primes)
-    # A stride below the segment length strikes in every segment.  A
-    # longer one strikes at most once per segment, so it waits in the
-    # bucket of the segment that holds its next index nxt[k] (the bucket
-    # sieve of Oliveira e Silva, Herzog & Pardi, Math. Comp. 83, 2014).
-    dense = []
-    buckets: defaultdict[int, array] = defaultdict(lambda: array("H"))
-    for k, stride in enumerate(strides):
-        if stride < _SIEVE_SEGMENT:
-            dense.append(k)
-        elif nxt[k] < n:
-            buckets[nxt[k] // _SIEVE_SEGMENT].append(k)
+    # A prime whose first index is at or past n strikes nothing: drop it
+    # once, before the first segment.
+    primes, strides, first = array("I"), array("I"), array("I")
+    for p, stride, j in zip(*progression_strides(a, m, _sieve_primes)):
+        if j < n:
+            primes.append(p)
+            strides.append(stride)
+            first.append(j)
     for lo in range(0, n, _SIEVE_SEGMENT):
         values = range(a + m * lo, a + m * min(n, lo + _SIEVE_SEGMENT), m)
         rests = list(values)
         found: list[list[tuple[int, int]]] = [[] for _ in rests]
-        hits = [
-            (i, primes[k]) for k in dense
-            for i in range((nxt[k] - lo) % strides[k], len(rests), strides[k])
-        ]
-        for k in buckets.pop(lo // _SIEVE_SEGMENT, ()):
-            j = nxt[k]
-            hits.append((j - lo, primes[k]))
-            nxt[k] = j = j + strides[k]
-            if j < n:
-                buckets[j // _SIEVE_SEGMENT].append(k)
-        for i, p in hits:  # p divides rests[i]: record its exponent
-            q, e = rests[i] // p, 1
-            while q % p == 0:
-                q //= p
-                e += 1
-            rests[i] = q
-            found[i].append((p, e))
+        size = len(rests)
+        # ascending primes, so each value's factors come out in order
+        for p, stride, j in zip(primes, strides, first):
+            i = (j - lo) % stride
+            while i < size:  # p divides rests[i]: record its exponent
+                q, e = rests[i], 0
+                while q % p == 0:
+                    q //= p
+                    e += 1
+                rests[i] = q
+                found[i].append((p, e))
+                i += stride
         for value, rest, factors in zip(values, rests, found):
             if value >= MR_DETERMINISTIC_BOUND:
                 yield factorize(value)
                 continue
-            factors.sort()
             if rest >= _SIEVE_SQUARE:
                 factors += factorize(rest).factors
             elif rest > 1:

@@ -373,6 +373,16 @@ class TestFactorizeProgression:
             n = arith._SIEVE_MIN_LENGTH + 50
             assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
 
+    def test_more_base_primes_than_an_unsigned_short_holds(self, monkeypatch):
+        # 2**20 gives 82,025 base primes, more than 65,535
+        monkeypatch.setattr(arith, "_SIEVE_LIMIT", 2**20)
+        monkeypatch.setattr(arith, "_SIEVE_SQUARE", 2**40)
+        monkeypatch.setattr(arith, "_sieve_primes", None)
+        a, m = 5 * 1_000_000_021 + 1, 5 * 1_000_000_021  # ED2's N(delta)
+        n = arith._SIEVE_MIN_LENGTH + 100
+        assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
+        assert len(arith._sieve_primes) > 65_535
+
     def test_values_past_primality_bound_go_whole_to_factorize(self, monkeypatch):
         monkeypatch.setattr(arith, "_SIEVE_MIN_LENGTH", 0)
         # every value is 210 times a number below the bound, so factorize
