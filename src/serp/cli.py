@@ -144,20 +144,22 @@ def _bounds_for(P: int, args) -> tuple[int, int]:
             default_delta_max(P) if args.delta_max is None else args.delta_max)
 
 
-def _decompose(P: int, method: str, gamma_max: int, delta_max: int,
-               want_all: bool, weak: bool) -> list[Solution]:
-    residue = P % 5
+def _decompose(P: int, args, want_all: bool) -> list[Solution]:
+    """P's solutions by args.method, --weak and the bounds: the one rule
+    of which primes a method covers.  Before any search it raises
+    WrongResidue for a prime out of the method's scope, and it reads the
+    bounds only when an engine runs."""
+    method, residue = args.method, P % 5
     if residue == 0:
-        raise SerpError(f"P = {P} is out of scope (5 divides P)")
+        raise WrongResidue(f"P = {P} is out of scope (5 divides P)")
     if P == 2:
-        raise SerpError("P = 2 is out of scope (no three distinct unit fractions sum to 5/2)")
+        raise WrongResidue("P = 2 is out of scope (no three distinct unit fractions sum to 5/2)")
     if method == "explicit" or (method == "auto" and residue != 1):
         sol = decompose_explicit(P)  # raises WrongResidue when residue is 1
-        if not weak:
-            sol = repair_distinct(sol)
-        return [sol]
+        return [sol if args.weak else repair_distinct(sol)]
     if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
+    gamma_max, delta_max = _bounds_for(P, args)
     # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (search,
     # reconstruct, parameter steps).  Built per call, not at module level,
     # so a wrapper later bound to a search's module name is the one called.
@@ -185,9 +187,9 @@ def cmd_decompose(args, out) -> int:
     P = args.P
     if not is_prime(P):
         raise SerpError(f"P = {P} is not prime; decompose needs a prime")
-    gamma_max, delta_max = _bounds_for(P, args)
-    solutions = _decompose(P, args.method, gamma_max, delta_max, args.all, args.weak)
+    solutions = _decompose(P, args, args.all)
     if not solutions:
+        gamma_max, delta_max = _bounds_for(P, args)
         print(
             f"no solution for P = {P} within gamma <= {gamma_max}, "
             f"delta <= {delta_max}; raise --gamma-max/--delta-max",
@@ -224,15 +226,10 @@ def cmd_scan(args, out) -> int:
 
     def solutions():
         for P in primes_between(getattr(args, "from"), args.to):
-            if P in (2, 5):  # out of scope, see _decompose
+            try:
+                found = _decompose(P, args, False)
+            except WrongResidue:  # out of the method's scope
                 continue
-            residue = P % 5
-            if args.method == "explicit" and residue == 1:
-                continue
-            if args.method == "ed1" and residue != 1:
-                continue
-            gamma_max, delta_max = _bounds_for(P, args)
-            found = _decompose(P, args.method, gamma_max, delta_max, False, args.weak)
             if found:
                 yield from found
             else:
@@ -246,11 +243,10 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_sieve(args, out) -> int:
-    from .sieve import class_scans, reconstruct_from_class  # numpy loads here
+    from .sieve import average_local_params, reconstruct_from_class  # numpy loads here
 
-    _, _, classes = class_scans(args.xmax, args.rmax, args.delta)
     rows = []
-    for c in classes:
+    for c in average_local_params(args.xmax, args.rmax, args.delta).classes:
         row = c.as_dict()
         row["first_solution"] = None
         if c.first_prime is not None:
@@ -343,13 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default: table on a TTY, json otherwise)",
         )
 
+    def add_search(p):  # what _decompose reads from args
+        p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
+        p.add_argument("--gamma-max", type=_positive_int, help="one-multiple search bound")
+        p.add_argument("--delta-max", type=_positive_int, help="two-multiple search bound")
+        p.add_argument("--weak", action="store_true", help="allow repeated denominators (skip repair)")
+
     p = sub.add_parser("decompose", help="find decompositions for one prime")
     p.add_argument("P", type=int)
-    p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
     p.add_argument("--all", action="store_true", help="emit every solution within bounds")
-    p.add_argument("--gamma-max", type=_positive_int, help="one-multiple search bound")
-    p.add_argument("--delta-max", type=_positive_int, help="two-multiple search bound")
-    p.add_argument("--weak", action="store_true", help="allow repeated denominators (skip repair)")
+    add_search(p)
     add_format(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -362,10 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="decompose every prime in a range")
     p.add_argument("--from", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
-    p.add_argument("--gamma-max", type=_positive_int)
-    p.add_argument("--delta-max", type=_positive_int)
-    p.add_argument("--weak", action="store_true")
+    add_search(p)
     add_format(p)
     p.set_defaults(func=cmd_scan)
 

@@ -24,7 +24,9 @@ class NotPrime(SerpError):
 
 
 class WrongResidue(SerpError):
-    """P lies in a residue class mod 5 the requested method does not cover."""
+    """P lies outside what the requested method covers: a residue class
+    mod 5 it has no construction for, or P = 5 or P = 2, which no method
+    covers (5 divides 5, and no three distinct unit fractions sum to 5/2)."""
 
 
 class ParityViolation(SerpError):

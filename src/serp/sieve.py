@@ -14,12 +14,14 @@ The statistics side counts N(P; R, delta) = #{r <= R admissible with
 r | 5*P*delta + 1} per prime, its exact average over primes P <= x with
 P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
 class contains no prime <= x.  Every class is a subset of the primes
-P = 1 (mod 5), so class_scans sieves [2, x] once, then marks, counts
-and drops each class's members in turn: it returns each class's count
-and first member and N(P; R, delta) per prime, and no class mask leaves
-this module.  It refuses, before sieving, an x whose estimated working
-set passes WORKING_SET_BUDGET.  The per-prime counts reach json as text
-pieces in key order (ScanReport.n_of_p_json), never as one dict.
+P = 1 (mod 5), so average_local_params, the one entry of both stats
+and sieve, sieves [2, x] once, then marks, counts and drops each
+class's members in turn: its report holds each class's count and first
+member and N(P; R, delta) per prime, and no class mask leaves this
+module.  It refuses, before sieving or listing a modulus, an (x, R)
+whose estimated working set passes WORKING_SET_BUDGET.  The per-prime
+counts reach json as text pieces in key order (ScanReport.n_of_p_json),
+never as one dict.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ from .solution import Solution
 # (int64 each), then either a class's primes % modulus and its mask, or
 # the sort key and order of n_of_p_json (int64 each).
 BYTES_PER_PRIME = 32
-WORKING_SET_BUDGET = 1 << 30  # bytes; class_scans refuses x past it
+# Peak bytes per class row, with its first solution, in the costliest
+# format: about 1.3 KB measured for a sieve table row.
+BYTES_PER_CLASS = 2048
+WORKING_SET_BUDGET = 1 << 30  # bytes; average_local_params refuses (x, R) past it
 N_OF_P_CHUNK = 1 << 15  # n_of_p members per json piece
 
 
@@ -222,30 +227,33 @@ def li_estimate(x: int) -> float:
     return float(pairwise(2, x - 1))
 
 
-def working_set_bytes(x: int) -> int:
-    """Estimated peak bytes of a stats or sieve run at x: BYTES_PER_PRIME
-    for each prime P <= x, P = 1 (mod 5), counted as a quarter of
-    Rosser and Schoenfeld's bound pi(x) < 1.25506 x / log x (x > 1)."""
+def working_set_bytes(x: int, R: int) -> int:
+    """Estimated peak bytes of a stats or sieve run at (x, R):
+    BYTES_PER_PRIME for each prime P <= x, P = 1 (mod 5), counted as a
+    quarter of Rosser and Schoenfeld's bound pi(x) < 1.25506 x / log x
+    (x > 1), and BYTES_PER_CLASS for each r <= R with r = 4 (mod 5), a
+    bound on the admissible moduli."""
+    rows = BYTES_PER_CLASS * ((R + 1) // 5)
     if x < 2:
-        return 0
-    return int(BYTES_PER_PRIME * 1.25506 * x / (4 * log(x)))
+        return rows
+    return rows + int(BYTES_PER_PRIME * 1.25506 * x / (4 * log(x)))
 
 
-def class_scans(
-    x: int, R: int, delta: int
-) -> tuple[np.ndarray, np.ndarray, list[ClassScan]]:
-    """One sieve pass for every admissible class r <= R.
+def average_local_params(x: int, R: int, delta: int) -> ScanReport:
+    """One sieve pass for every admissible class r <= R, and the exact
+    mean of N(P; R, delta) over primes P <= x, P = 1 (mod 5).
 
-    Returns the primes P <= x with P = 1 (mod 5), ascending; totals,
-    where totals[i] = N(primes[i]; R, delta); and one ClassScan per
-    admissible r, ascending.  Each class's mask over the primes is built,
-    counted and added into totals, then dropped.  An x past the
-    working-set budget fails before anything is sieved.
+    The report keeps the primes, ascending, their totals N(P; R, delta)
+    and one ClassScan per admissible r, ascending; the mean, per-prime
+    counts and exceptional moduli are read from them, and a zero-prime
+    range is flagged by average=None.  Each class's mask over the primes
+    is built, counted and added into totals, then dropped.  An (x, R)
+    past the working-set budget fails before anything is sieved.
     """
-    need = working_set_bytes(x)
+    need = working_set_bytes(x, R)
     if need > WORKING_SET_BUDGET:
         raise SerpError(
-            f"x = {x} needs about {need >> 20} MiB, past the "
+            f"x = {x} and R = {R} need about {need >> 20} MiB, past the "
             f"{WORKING_SET_BUDGET >> 20} MiB working-set budget"
         )
     primes = class_primes(1, 5, x)
@@ -258,16 +266,6 @@ def class_scans(
         totals += hits
         first = int(primes[hits.argmax()]) if found else None
         classes.append(ClassScan(**vars(cls), primes_found=found, first_prime=first))
-    return primes, totals, classes
-
-
-def average_local_params(x: int, R: int, delta: int) -> ScanReport:
-    """Exact mean of N(P; R, delta) over primes P <= x, P = 1 (mod 5):
-    the report keeps class_scans' arrays and class rows, and reads the
-    mean, per-prime counts and exceptional moduli from them.  A
-    zero-prime range is flagged by average=None.
-    """
-    primes, totals, classes = class_scans(x, R, delta)
     return ScanReport(x, R, delta, primes, totals, tuple(classes))
 
 

@@ -243,6 +243,29 @@ class TestScan:
         assert recs[0]["P"] == 3
         assert [r["P"] for r in recs] == [p for p in range(3, 101) if is_prime(p) and p != 5]
 
+    @pytest.mark.parametrize("method", ["auto", "explicit", "ed1", "ed2"])
+    def test_scan_covers_exactly_what_decompose_accepts(self, method, capsys):
+        # one scope rule: a one-prime scan writes decompose's rows, writes
+        # nothing where decompose exits 2, and reports decompose's misses
+        codes = set()
+        for P in primes_between(2, 400):
+            code, out = run_cli("decompose", str(P), "--method", method, "--format", "json")
+            capsys.readouterr()
+            scan_code, scan_out = run_cli(
+                "scan", "--from", str(P), "--to", str(P), "--method", method, "--format", "json"
+            )
+            miss = capsys.readouterr().err
+            codes.add(code)
+            if code == 0:
+                assert (scan_code, scan_out, miss) == (0, out, ""), P
+            elif code == 2:
+                assert (scan_code, scan_out, miss) == (0, "", ""), P
+            else:
+                assert code == 1, P
+                assert (scan_code, scan_out) == (1, ""), P
+                assert miss == f"no solution within bounds for: [{P}]\n"
+        assert codes == ({0, 1, 2} if method == "ed2" else {0, 2})
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     def test_records_stream(self, monkeypatch, fmt):
         # json and csv records are written as each prime is decomposed;
@@ -469,7 +492,7 @@ def test_working_set_past_budget_exits_2_before_sieving(command, monkeypatch, ca
 
     monkeypatch.setattr(sieve, "class_primes", refuse)
     x = 10
-    while sieve.working_set_bytes(x) <= sieve.WORKING_SET_BUDGET:
+    while sieve.working_set_bytes(x, 64) <= sieve.WORKING_SET_BUDGET:
         x *= 10
     flag = "--x" if command == "stats" else "--xmax"
     code, out = run_cli(command, flag, str(x), "--rmax", "64", "--delta", "1", "--format", "json")
@@ -477,13 +500,29 @@ def test_working_set_past_budget_exits_2_before_sieving(command, monkeypatch, ca
     assert "working-set budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stats", "sieve"])
+def test_rmax_past_budget_exits_2_before_listing_moduli(command, monkeypatch, capsys):
+    class Listed(Exception):
+        pass
+
+    def refuse(*args):
+        raise Listed
+
+    monkeypatch.setattr(sieve, "admissible_moduli", refuse)
+    monkeypatch.setattr(sieve, "class_primes", refuse)
+    flag = "--x" if command == "stats" else "--xmax"
+    code, out = run_cli(command, flag, "100", "--rmax", str(10**10), "--delta", "1", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "working-set budget" in capsys.readouterr().err
+
+
 def test_largest_x_under_budget_is_accepted(monkeypatch):
-    lo, hi = 2, 10**12  # working_set_bytes(lo) <= budget < working_set_bytes(hi)
+    lo, hi = 2, 10**12  # working_set_bytes(lo, 64) <= budget < working_set_bytes(hi, 64)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if sieve.working_set_bytes(mid) <= sieve.WORKING_SET_BUDGET else (lo, mid)
+        lo, hi = (mid, hi) if sieve.working_set_bytes(mid, 64) <= sieve.WORKING_SET_BUDGET else (lo, mid)
     with pytest.raises(SerpError, match="working-set budget"):
-        sieve.class_scans(hi, 64, 1)
+        sieve.average_local_params(hi, 64, 1)
 
     class Sieved(Exception):
         pass
@@ -493,13 +532,13 @@ def test_largest_x_under_budget_is_accepted(monkeypatch):
 
     monkeypatch.setattr(sieve, "class_primes", stop)
     with pytest.raises(Sieved):  # past the guard, at the sieve
-        sieve.class_scans(lo, 64, 1)
+        sieve.average_local_params(lo, 64, 1)
 
 
 def test_working_set_estimate_covers_the_primes():
     for x in (10, 11, 10**4, 10**6, 10**7):
         count = sieve.class_primes(1, 5, x).size
-        assert sieve.working_set_bytes(x) >= sieve.BYTES_PER_PRIME * count
+        assert sieve.working_set_bytes(x, 1) >= sieve.BYTES_PER_PRIME * count
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from serp.sieve import (
     admissible_moduli,
     average_local_params,
     build_progression_class,
-    class_scans,
     li_estimate,
     reconstruct_from_class,
     scan_class_primes,
@@ -214,7 +213,8 @@ class TestSharedPass:
     def test_hits_mark_class_members(self):
         # one record per admissible class, with its count and first member,
         # and per-prime totals N(P; R, delta); no mask comes back
-        primes, totals, records = class_scans(1000, 30, 1)
+        report = average_local_params(1000, 30, 1)
+        primes, totals, records = report.primes, report.totals, report.classes
         assert all(int(p) % 5 == 1 for p in primes)
         assert [c.r for c in records] == admissible_moduli(30, 1)
         for c in records:
