@@ -5,7 +5,8 @@ _EXPORTS maps each home module to the public names it defines, and
 __all__ is read from it.  Nothing is imported with the package: a
 public name or a submodule is served on first use (PEP 562), so
 `import serp` loads no submodule and no numpy, and a process loads only
-the modules it uses (numpy with the first use of a serp.sieve name).
+the modules it uses (numpy only when a serp.sieve function builds
+per-prime arrays, as stats does).
 """
 
 from importlib import import_module

@@ -11,8 +11,8 @@ record, so a scan streams its solutions; only the table waits for the
 last record, because it needs the column widths.  The one exception is
 the stats json record: _emit_streaming writes it with its per-prime
 n_of_p object in pieces, as the sieve formats them, so that object is
-never held whole.  numpy is imported by sieve and stats alone, when
-they run.
+never held whole.  numpy is imported by stats alone, when it runs:
+sieve counts its class rows from the segments of a bytearray sieve.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation.
@@ -56,8 +56,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
@@ -243,10 +242,10 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_sieve(args, out) -> int:
-    from .sieve import average_local_params, reconstruct_from_class  # numpy loads here
+    from .sieve import class_scans, reconstruct_from_class
 
     rows = []
-    for c in average_local_params(args.xmax, args.rmax, args.delta).classes:
+    for c in class_scans(args.xmax, args.rmax, args.delta):
         row = c.as_dict()
         row["first_solution"] = None
         if c.first_prime is not None:
@@ -260,10 +259,20 @@ def cmd_sieve(args, out) -> int:
 
 
 def cmd_stats(args, out) -> int:
-    from .sieve import average_local_params  # numpy loads here
+    # average_local_params loads numpy
+    from .sieve import average_local_params, check_working_set, phi_sum
 
-    report = average_local_params(args.x, args.rmax, args.delta)
     fmt = _pick_format(args)
+    if fmt != "csv":  # json and table write phi_sum: refuse one they cannot, before sieving
+        check_working_set(args.x, args.rmax)
+        try:
+            str(phi_sum(args.rmax, args.delta))
+        except ValueError:  # a numerator or denominator past the int-to-str limit
+            raise SerpError(
+                f"phi_sum at R = {args.rmax} has more than {sys.get_int_max_str_digits()} "
+                "digits, too many to write; lower --rmax, or use --format csv, which omits it"
+            ) from None
+    report = average_local_params(args.x, args.rmax, args.delta)
     if fmt == "table":
         avg = "undefined (no primes)" if report.average is None else str(report.average)
         out.write(f"x = {report.x}  R = {report.R}  delta = {report.delta}\n")

@@ -14,14 +14,17 @@ The statistics side counts N(P; R, delta) = #{r <= R admissible with
 r | 5*P*delta + 1} per prime, its exact average over primes P <= x with
 P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
 class contains no prime <= x.  Every class is a subset of the primes
-P = 1 (mod 5), so average_local_params, the one entry of both stats
-and sieve, sieves [2, x] once, then marks, counts and drops each
-class's members in turn: its report holds each class's count and first
-member and N(P; R, delta) per prime, and no class mask leaves this
-module.  It refuses, before sieving or listing a modulus, an (x, R)
-whose estimated working set passes WORKING_SET_BUDGET.  The per-prime
-counts reach json as text pieces in key order (ScanReport.n_of_p_json),
-never as one dict.
+P = 5k + 1, so class_scans, the one source of class rows for both
+stats and sieve, runs arith's segmented sieve over k once and reads
+each class's count and first member from every segment at the class's
+stride, with no numpy and no flags kept past their segment.
+average_local_params, the entry of stats, adds the numpy pass that
+builds N(P; R, delta) per prime.  Both refuse, before sieving or
+listing a modulus, an (x, R) whose estimated working set passes
+WORKING_SET_BUDGET.  The per-prime counts reach json as text pieces in
+key order (ScanReport.n_of_p_json), never as one dict.  numpy and the
+_kernels sieve are imported only by the functions that build per-prime
+arrays.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from functools import lru_cache
+from math import gcd, isqrt, log
 from statistics import linear_regression
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from ._kernels import class_primes
-from .arith import euler_phi, mod_inverse, crt_combine
+from .arith import _sieve_flags, crt_combine, euler_phi, mod_inverse, primes_between
 from .ed2 import ed2_reconstruct, pair_from_divisor
 from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime, SerpError
 from .solution import Solution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Peak bytes per prime P = 1 (mod 5) while stats runs: primes and totals
 # (int64 each), then either a class's primes % modulus and its mask, or
@@ -47,8 +52,9 @@ BYTES_PER_PRIME = 32
 # Peak bytes per class row, with its first solution, in the costliest
 # format: about 1.3 KB measured for a sieve table row.
 BYTES_PER_CLASS = 2048
-WORKING_SET_BUDGET = 1 << 30  # bytes; average_local_params refuses (x, R) past it
+WORKING_SET_BUDGET = 1 << 30  # bytes; class_scans refuses (x, R) past it
 N_OF_P_CHUNK = 1 << 15  # n_of_p members per json piece
+SEGMENT = 1 << 18  # values k of P = 5k + 1 per class_scans segment
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,7 @@ class ScanReport:
 
     @property
     def phi_sum(self) -> Fraction:
-        return sum((Fraction(1, euler_phi(c.modulus)) for c in self.classes), Fraction(0))
+        return phi_sum(self.R, self.delta)
 
     @property
     def exceptional(self) -> tuple[int, ...]:
@@ -140,6 +146,8 @@ class ScanReport:
         largest prime.  No two primes share a padded key, since neither
         of two primes is the other times a power of ten.
         """
+        import numpy as np
+
         primes, totals = self.primes, self.totals
         if not primes.size:
             return
@@ -181,7 +189,15 @@ def build_progression_class(delta: int, r: int) -> ProgressionClass:
 
 def scan_class_primes(cls: ProgressionClass, x: int) -> list[int]:
     """All primes <= x in the class, ascending."""
+    from ._kernels import class_primes
+
     return [int(p) for p in class_primes(cls.residue, cls.modulus, x)]
+
+
+@lru_cache(maxsize=1)  # stats checks it before sieving, then writes it
+def phi_sum(R: int, delta: int) -> Fraction:
+    """The sum of 1/phi(5r) over the admissible r <= R."""
+    return sum((Fraction(1, euler_phi(5 * r)) for r in admissible_moduli(R, delta)), Fraction(0))
 
 
 def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:
@@ -217,6 +233,7 @@ def li_estimate(x: int) -> float:
     """
     if x < 2:
         return 0.0
+    import numpy as np
 
     def pairwise(start: int, n: int) -> float:
         if n <= _LI_LEAF:
@@ -239,34 +256,77 @@ def working_set_bytes(x: int, R: int) -> int:
     return rows + int(BYTES_PER_PRIME * 1.25506 * x / (4 * log(x)))
 
 
-def average_local_params(x: int, R: int, delta: int) -> ScanReport:
-    """One sieve pass for every admissible class r <= R, and the exact
-    mean of N(P; R, delta) over primes P <= x, P = 1 (mod 5).
-
-    The report keeps the primes, ascending, their totals N(P; R, delta)
-    and one ClassScan per admissible r, ascending; the mean, per-prime
-    counts and exceptional moduli are read from them, and a zero-prime
-    range is flagged by average=None.  Each class's mask over the primes
-    is built, counted and added into totals, then dropped.  An (x, R)
-    past the working-set budget fails before anything is sieved.
-    """
+def check_working_set(x: int, R: int) -> None:
+    """Raise SerpError when the working set of (x, R) passes the budget."""
     need = working_set_bytes(x, R)
     if need > WORKING_SET_BUDGET:
         raise SerpError(
             f"x = {x} and R = {R} need about {need >> 20} MiB, past the "
             f"{WORKING_SET_BUDGET >> 20} MiB working-set budget"
         )
+
+
+def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
+    """One ClassScan per admissible r <= R, ascending: the count and the
+    first of the primes P <= x in the class, with no numpy.
+
+    Every class lies in P = 5k + 1, k = k0 (mod r) with k0 = (residue -
+    1)/5.  So arith's progression sieve runs once over 5k + 1 <= x with
+    the primes up to sqrt(x), SEGMENT values of k at a time.  In each
+    segment k = 0 (P = 1) is put back as not prime and each base prime
+    = 1 (mod 5), which struck itself, as prime; then each class reads
+    the flags from (k0 - lo) mod r at stride r.  No flags outlive their
+    segment.  An (x, R) past the working-set budget fails before any
+    sieving or listing of moduli.
+    """
+    check_working_set(x, R)
+    classes = [build_progression_class(delta, r) for r in admissible_moduli(R, delta)]
+    base = list(primes_between(2, isqrt(max(x, 0))))
+    self_struck = [(p - 1) // 5 for p in base if p % 5 == 1]
+    found = [0] * len(classes)
+    first: list[int | None] = [None] * len(classes)
+    lo = 0
+    for flags in _sieve_flags(1, 5, (x - 1) // 5 + 1, base, SEGMENT):
+        hi = lo + len(flags)
+        if lo == 0:
+            flags[0] = 0
+        for k in self_struck:
+            if lo <= k < hi:
+                flags[k - lo] = 1
+        for i, cls in enumerate(classes):
+            start = ((cls.residue - 1) // 5 - lo) % cls.r
+            row = flags[start :: cls.r]
+            found[i] += row.count(1)
+            if first[i] is None and (j := row.find(1)) >= 0:
+                first[i] = 5 * (lo + start + cls.r * j) + 1
+        lo = hi
+    return tuple(
+        ClassScan(**vars(cls), primes_found=n, first_prime=p)
+        for cls, n, p in zip(classes, found, first)
+    )
+
+
+def average_local_params(x: int, R: int, delta: int) -> ScanReport:
+    """class_scans' rows, and the exact mean of N(P; R, delta) over
+    primes P <= x, P = 1 (mod 5).
+
+    The report keeps the primes, ascending, their totals N(P; R, delta)
+    and the class rows; the mean, per-prime counts and exceptional
+    moduli are read from them, and a zero-prime range is flagged by
+    average=None.  Each class's mask over the primes is built, added
+    into totals and dropped.  An (x, R) past the working-set budget
+    fails in class_scans, before anything is sieved.
+    """
+    import numpy as np
+
+    from ._kernels import class_primes
+
+    classes = class_scans(x, R, delta)
     primes = class_primes(1, 5, x)
     totals = np.zeros(primes.size, dtype=np.int64)
-    classes = []
-    for r in admissible_moduli(R, delta):
-        cls = build_progression_class(delta, r)
-        hits = primes % cls.modulus == cls.residue
-        found = int(np.count_nonzero(hits))
-        totals += hits
-        first = int(primes[hits.argmax()]) if found else None
-        classes.append(ClassScan(**vars(cls), primes_found=found, first_prime=first))
-    return ScanReport(x, R, delta, primes, totals, tuple(classes))
+    for c in classes:
+        totals += primes % c.modulus == c.residue
+    return ScanReport(x, R, delta, primes, totals, classes)
 
 
 def fit_growth_constant(

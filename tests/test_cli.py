@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serp.cli as cli_mod
-from serp import sieve
+from serp import _kernels, sieve
 from serp.arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from serp.cli import main
 from serp.errors import SerpError
@@ -379,8 +379,8 @@ class TestStats:
 
 
 # sha256 of `stats --x X --rmax 64 --delta D` and `sieve --delta D --rmax 64
-# --xmax X` stdout; tests/test_kernels.py crosses class_primes' segment
-# boundaries
+# --xmax X` stdout; tests/test_kernels.py and tests/test_sieve.py cross the
+# segment boundaries of class_primes and class_scans
 DENSITY_SHA256 = {
     ("stats", "100000", "1", "json"): "9546b9759d1f20f86145955969946e6753ba4aa76ee41037426319458a73e4b6",
     ("stats", "100000", "1", "csv"): "2718f889936dcb4f51a9b5a1010e528eef5b52b48fa2ffb8668b603f3f70e236",
@@ -485,19 +485,27 @@ def test_stats_json_writes_in_bounded_pieces():
     assert digest == STATS_SHA256["10000000", "1", "json"]
 
 
+def refuse_to_sieve(monkeypatch, refuse):
+    """Put refuse on the steps that sieve: class_scans' progression sieve,
+    the first in both stats and sieve, and the per-prime sieve of stats."""
+    monkeypatch.setattr(sieve, "_sieve_flags", refuse)
+    monkeypatch.setattr(_kernels, "class_primes", refuse)
+
+
 @pytest.mark.parametrize("command", ["stats", "sieve"])
 def test_working_set_past_budget_exits_2_before_sieving(command, monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("class_primes ran past the working-set budget")
+        raise AssertionError("a sieve ran past the working-set budget")
 
-    monkeypatch.setattr(sieve, "class_primes", refuse)
+    refuse_to_sieve(monkeypatch, refuse)
     x = 10
     while sieve.working_set_bytes(x, 64) <= sieve.WORKING_SET_BUDGET:
         x *= 10
     flag = "--x" if command == "stats" else "--xmax"
-    code, out = run_cli(command, flag, str(x), "--rmax", "64", "--delta", "1", "--format", "json")
-    assert (code, out) == (2, "")
-    assert "working-set budget" in capsys.readouterr().err
+    for fmt in ("json", "csv"):  # stats checks phi_sum for json alone
+        code, out = run_cli(command, flag, str(x), "--rmax", "64", "--delta", "1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "working-set budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["stats", "sieve"])
@@ -509,11 +517,12 @@ def test_rmax_past_budget_exits_2_before_listing_moduli(command, monkeypatch, ca
         raise Listed
 
     monkeypatch.setattr(sieve, "admissible_moduli", refuse)
-    monkeypatch.setattr(sieve, "class_primes", refuse)
+    refuse_to_sieve(monkeypatch, refuse)
     flag = "--x" if command == "stats" else "--xmax"
-    code, out = run_cli(command, flag, "100", "--rmax", str(10**10), "--delta", "1", "--format", "json")
-    assert (code, out) == (2, "")
-    assert "working-set budget" in capsys.readouterr().err
+    for fmt in ("json", "csv"):  # stats checks phi_sum for json alone
+        code, out = run_cli(command, flag, "100", "--rmax", str(10**10), "--delta", "1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "working-set budget" in capsys.readouterr().err
 
 
 def test_largest_x_under_budget_is_accepted(monkeypatch):
@@ -521,8 +530,6 @@ def test_largest_x_under_budget_is_accepted(monkeypatch):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if sieve.working_set_bytes(mid, 64) <= sieve.WORKING_SET_BUDGET else (lo, mid)
-    with pytest.raises(SerpError, match="working-set budget"):
-        sieve.average_local_params(hi, 64, 1)
 
     class Sieved(Exception):
         pass
@@ -530,15 +537,38 @@ def test_largest_x_under_budget_is_accepted(monkeypatch):
     def stop(*args):
         raise Sieved
 
-    monkeypatch.setattr(sieve, "class_primes", stop)
-    with pytest.raises(Sieved):  # past the guard, at the sieve
-        sieve.average_local_params(lo, 64, 1)
+    refuse_to_sieve(monkeypatch, stop)
+    for scan in (sieve.class_scans, sieve.average_local_params):  # sieve's entry, stats'
+        with pytest.raises(SerpError, match="working-set budget"):  # before any sieve
+            scan(hi, 64, 1)
+        with pytest.raises(Sieved):  # past the guard, at the sieve
+            scan(lo, 64, 1)
 
 
 def test_working_set_estimate_covers_the_primes():
     for x in (10, 11, 10**4, 10**6, 10**7):
-        count = sieve.class_primes(1, 5, x).size
+        count = _kernels.class_primes(1, 5, x).size
         assert sieve.working_set_bytes(x, 1) >= sieve.BYTES_PER_PRIME * count
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_unwritable_phi_sum_exits_2_before_sieving(fmt, monkeypatch, capsys):
+    # At R = 1e5 the sum of 1/phi(5r) has more digits than an int may be
+    # written with; json and table write it, so they refuse before sieving.
+    def refuse(*args):
+        raise AssertionError("stats sieved before it checked phi_sum")
+
+    refuse_to_sieve(monkeypatch, refuse)
+    code, out = run_cli("stats", "--x", "10", "--rmax", "100000", "--delta", "1", "--format", fmt)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert "phi_sum" in err and "R = 100000" in err
+
+
+def test_unwritable_phi_sum_leaves_csv_alone():
+    code, out = run_cli("stats", "--x", "10", "--rmax", "100000", "--delta", "1", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(sieve.admissible_moduli(100000, 1))
 
 
 @pytest.mark.parametrize(

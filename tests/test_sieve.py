@@ -6,14 +6,18 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serp import sieve
+from serp.arith import is_prime
 from serp.cli import main
 from serp.errors import BadResidue, DeltaFilterFailed, NotCoprime
 from serp.sieve import (
     admissible_moduli,
     average_local_params,
     build_progression_class,
+    class_scans,
     li_estimate,
     reconstruct_from_class,
     scan_class_primes,
@@ -79,6 +83,50 @@ class TestScanClass:
                 if p in primes
             ]
             assert scan_class_primes(cls, 5000) == expected
+
+
+def expected_rows(x, R, delta):
+    """(r, primes found, first prime) per admissible r <= R, by testing
+    each class member <= x for primality on its own."""
+    rows = []
+    for r in admissible_moduli(R, delta):
+        cls = build_progression_class(delta, r)
+        members = [P for P in range(cls.residue, x + 1, cls.modulus) if is_prime(P)]
+        rows.append((r, len(members), members[0] if members else None))
+    return rows
+
+
+def scanned_rows(x, R, delta):
+    return [(c.r, c.primes_found, c.first_prime) for c in class_scans(x, R, delta)]
+
+
+class TestClassScans:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=st.integers(1, 20_000),
+        R=st.integers(1, 300),
+        delta=st.integers(1, 50),
+        segment=st.sampled_from([1, 2, 7, 97, sieve.SEGMENT]),
+    )
+    def test_rows_match_primality(self, x, R, delta, segment):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "SEGMENT", segment)
+            assert scanned_rows(x, R, delta) == expected_rows(x, R, delta)
+
+    # 121, 961, 1681 and 3721 are the squares of the base primes 11, 31,
+    # 41 and 61 = 1 (mod 5), which strike themselves and are put back
+    @pytest.mark.parametrize("x", [0, 1, 2, 10, 11, 121, 961, 1681, 3721])
+    @pytest.mark.parametrize("delta", [1, 7])
+    def test_rows_at_squares_of_self_struck_primes(self, x, delta):
+        assert scanned_rows(x, 300, delta) == expected_rows(x, 300, delta)
+
+    def test_rows_span_two_segments(self):
+        # k = (x - 1)/5 passes SEGMENT, so the flags come in two segments
+        x = 5 * sieve.SEGMENT + 5001
+        assert scanned_rows(x, 60, 3) == expected_rows(x, 60, 3)
+
+    def test_rows_are_the_reports(self):
+        assert class_scans(1000, 64, 7) == average_local_params(1000, 64, 7).classes
 
 
 class TestReconstruct:

@@ -104,8 +104,9 @@ def test_invariant_checks_run_under_python_O():
     assert proc.stdout == expected.getvalue()
 
 
-# numpy is for the sieve alone: importing the rest of serp must not
-# load it, and the sieve subcommands load it when they run.
+# numpy builds the per-prime arrays of stats alone: importing serp must
+# not load it, and stats loads it when it runs (sieve runs without it:
+# see SIEVE_WITHOUT_NUMPY_SCRIPT).
 IMPORT_GRAPH_SCRIPT = """
 import io
 import sys
@@ -148,6 +149,27 @@ def test_numpy_loads_only_for_the_sieve():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# sieve counts its class rows from bytearray segments: with numpy made
+# unimportable it must still write the rows that tests/test_cli.py pins.
+SIEVE_ARGV = ["sieve", "--delta", "7", "--rmax", "64", "--xmax", "1100000", "--format", "json"]
+SIEVE_WITHOUT_NUMPY_SCRIPT = f"""
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import serp.cli
+
+sys.exit(serp.cli.main({SIEVE_ARGV!r}))
+"""
+
+
+def test_sieve_runs_without_numpy():
+    proc = _python(SIEVE_WITHOUT_NUMPY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    expected = io.StringIO()
+    assert main(SIEVE_ARGV, out=expected) == 0
+    assert proc.stdout == expected.getvalue()
 
 
 def test_unknown_package_attribute_raises():
