@@ -13,6 +13,13 @@ the stats json record: _emit_streaming writes it with its per-prime
 n_of_p object in pieces, as the sieve formats them, so that object is
 never held whole.  numpy is imported by stats alone, when it runs:
 sieve counts its class rows from the segments of a bytearray sieve.
+scan takes the first ED2 step, delta = 1, of every prime from one
+table per segment of its window (ed2._DeltaOne): the primes P for
+which an r = 4 (mod 5) divides 5P + 1 form the class
+P = -(r + 1)/5 (mod r), so each entry, the least such r up to
+min(isqrt(5*to + 1), 65534), is found without factoring 5P + 1; only
+past that cap does an empty entry fall back to the search at
+delta = 1.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation.
@@ -28,7 +35,7 @@ from collections.abc import Iterable
 
 from .arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
-from .ed2 import default_delta_max, ed2_reconstruct, ed2_search
+from .ed2 import _DeltaOne, default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError, WrongResidue
 from .explicit import decompose_explicit, repair_distinct
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
@@ -143,11 +150,12 @@ def _bounds_for(P: int, args) -> tuple[int, int]:
             default_delta_max(P) if args.delta_max is None else args.delta_max)
 
 
-def _decompose(P: int, args, want_all: bool) -> list[Solution]:
+def _decompose(P: int, args, want_all: bool, delta_one: _DeltaOne | None = None) -> list[Solution]:
     """P's solutions by args.method, --weak and the bounds: the one rule
     of which primes a method covers.  Before any search it raises
     WrongResidue for a prime out of the method's scope, and it reads the
-    bounds only when an engine runs."""
+    bounds only when an engine runs.  A scan's delta_one answers the
+    first ED2 step, delta = 1, where it can; the result is the same."""
     method, residue = args.method, P % 5
     if residue == 0:
         raise WrongResidue(f"P = {P} is out of scope (5 divides P)")
@@ -159,11 +167,11 @@ def _decompose(P: int, args, want_all: bool) -> list[Solution]:
     if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
     gamma_max, delta_max = _bounds_for(P, args)
-    # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (search,
+    # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (name, search,
     # reconstruct, parameter steps).  Built per call, not at module level,
     # so a wrapper later bound to a search's module name is the one called.
     engines = [
-        (search, reconstruct, steps)
+        (name, search, reconstruct, steps)
         for name, search, reconstruct, steps in (
             ("ed2", ed2_search, ed2_reconstruct, range(1, delta_max + 1)),
             ("ed1", ed1_search, ed1_reconstruct, range(4, gamma_max + 1, 5)),
@@ -171,10 +179,15 @@ def _decompose(P: int, args, want_all: bool) -> list[Solution]:
         if method in ("auto", name)
     ]
     if want_all:
-        found = {reconstruct(w) for search, reconstruct, steps in engines
+        found = {reconstruct(w) for _, search, reconstruct, steps in engines
                  for w in search(P, steps.stop - 1)}
         return sorted(found, key=Solution.sort_key)
-    for search, reconstruct, steps in engines:
+    for name, search, reconstruct, steps in engines:
+        if name == "ed2" and delta_one is not None:
+            w, start = delta_one.first(P)
+            if w is not None:
+                return [reconstruct(w)]
+            steps = range(start, steps.stop)
         for t in steps:  # raise the parameter until the first hit
             found = search(P, t, t)
             if found:
@@ -214,6 +227,18 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
+    """decompose's first hit for every prime in [--from, --to], each
+    record written as it is found, and the misses on stderr at the end.
+
+    Where ED2 runs, its delta = 1 step reads the least r = 4 (mod 5)
+    dividing 5P + 1 from a table of the window's segment: with
+    b = (r + 1)/5, r divides 5P + 1 exactly when P = -b (mod r).  The
+    table holds r up to min(isqrt(5*to + 1), 65534), one array('H') of
+    at most 2**16 entries at a time.  An entry r gives the first witness
+    (r <= isqrt(5P + 1), as its cofactor is = 4 (mod 5) too); no entry
+    starts the search at delta = 2, or at delta = 1 when the cap is below
+    isqrt(5P + 1).  The records are those of decompose.
+    """
     if args.to < getattr(args, "from"):
         raise SerpError("--to must be >= --from")
     if args.to >= MR_DETERMINISTIC_BOUND:
@@ -222,11 +247,12 @@ def cmd_scan(args, out) -> int:
             "the end of the deterministic primality range"
         )
     misses = []
+    delta_one = _DeltaOne(args.to)
 
     def solutions():
         for P in primes_between(getattr(args, "from"), args.to):
             try:
-                found = _decompose(P, args, False)
+                found = _decompose(P, args, False, delta_one)
             except WrongResidue:  # out of the method's scope
                 continue
             if found:

@@ -14,15 +14,30 @@ coordinates split b = g*b', c = g*c' with gcd(b', c') = 1 and
 delta = alpha * dprime**2 (alpha squarefree); a row is canonical when
 g = alpha*dprime, b' + c' = m*dprime and A = alpha*b'*c', where
 m = 5A - P.
+
+A scan answers delta = 1 for a whole window at once.  With
+b = (r + 1)/5, r divides 5P + 1 exactly when P = -b (mod r), since
+5b = r + 1 = 1 (mod r): for each r = 4 (mod 5), the primes that hit at
+delta = 1 through r form one progression class.  _delta_one_table
+strikes these classes over one segment of the window and keeps the
+least r of each P, for r up to min(isqrt(5*to + 1), 65534), the largest
+such r below the sieve limit 2**16 that array('H') holds.  The
+cofactor of r is = 4 (mod 5) too, so the least r never exceeds
+isqrt(5P + 1).  _DeltaOne reads P's entry: an r is
+ed2_search(P, 1, 1)'s first witness; no r while the cap reaches
+isqrt(5P + 1) means delta = 1 has no witness; only no r under a cap
+below isqrt(5P + 1) (P past about 8.6e8) leaves delta = 1 to the
+search.  Memory stays at one segment of the window.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
-from .arith import Factorization, factorize_progression, squarefree_split
+from .arith import _SEGMENT, _SIEVE_LIMIT, Factorization, factorize_progression, squarefree_split
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -108,6 +123,45 @@ def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
     if b == c or (b * c) % delta:
         return None
     return Ed2Witness(P, delta, b, c, r, s, b * c // delta)
+
+
+def _delta_one_table(lo: int, n: int, cap: int) -> array:
+    """For P = lo + i, i < n: the least r = 4 (mod 5), r <= cap, that
+    divides 5P + 1, or 0 when none does; cap must be below 2**16.
+
+    r divides 5P + 1 exactly when P = -(r + 1)/5 (mod r).  Each class is
+    one slice assignment, from the largest r down to 4, so the least r
+    is the one left in each entry.
+    """
+    table = array("H", (0,)) * n
+    for r in range(cap - (cap + 1) % 5, 3, -5):
+        first = (-(r + 1) // 5 - lo) % r
+        if first < n:
+            table[first::r] = array("H", (r,)) * len(range(first, n, r))
+    return table
+
+
+class _DeltaOne:
+    """ED2 at delta = 1 for the primes of a window that ends at hi, read
+    from one _delta_one_table of at most _SEGMENT integers at a time.  A
+    prime the current table does not cover starts the next one, so
+    primes asked in ascending order build each table once."""
+
+    def __init__(self, hi: int):
+        self.hi, self.cap = hi, min(isqrt(5 * hi + 1), _SIEVE_LIMIT - 2)
+        self.lo, self.table = 0, array("H")
+
+    def first(self, P: int) -> tuple[Ed2Witness | None, int]:
+        """ed2_search(P, 1, 1)'s first witness, or None and the least
+        delta left to search: 2 when delta = 1 has no witness, 1 when the
+        table cannot tell (or b = c, as at P = 3)."""
+        if not 0 <= P - self.lo < len(self.table):
+            self.lo, self.table = P, array("H")  # never hold two tables at once
+            self.table = _delta_one_table(P, min(_SEGMENT, self.hi - P + 1), self.cap)
+        r = self.table[P - self.lo]
+        if r:  # r <= isqrt(5P + 1): its cofactor is = 4 (mod 5) too, and no smaller
+            return pair_from_divisor(P, 1, r), 1
+        return None, 2 if self.cap >= isqrt(5 * P + 1) else 1
 
 
 def ed2_case_a(P: int, delta: int, S: list[int]) -> Solution | None:

@@ -196,8 +196,21 @@ def scan_class_primes(cls: ProgressionClass, x: int) -> list[int]:
 
 @lru_cache(maxsize=1)  # stats checks it before sieving, then writes it
 def phi_sum(R: int, delta: int) -> Fraction:
-    """The sum of 1/phi(5r) over the admissible r <= R."""
-    return sum((Fraction(1, euler_phi(5 * r)) for r in admissible_moduli(R, delta)), Fraction(0))
+    """The sum of 1/phi(5r) over the admissible r <= R.
+
+    The terms are added as a pairwise tree, so both sides of an addition
+    are sums of about as many terms; added one at a time, each term
+    would meet the whole running denominator, at a cost about quadratic
+    in R.  partial holds the (term count, sum) of each finished subtree,
+    counts falling, so memory stays logarithmic in the number of terms.
+    """
+    partial: list[tuple[int, Fraction]] = []
+    for r in admissible_moduli(R, delta):
+        count, total = 1, Fraction(1, euler_phi(5 * r))
+        while partial and partial[-1][0] == count:
+            count, total = 2 * count, partial.pop()[1] + total
+        partial.append((count, total))
+    return sum((total for _, total in reversed(partial)), Fraction(0))
 
 
 def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serp.cli as cli_mod
+import serp.ed2 as ed2_mod
 from serp import _kernels, sieve
-from serp.arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
+from serp.arith import _SEGMENT, MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from serp.cli import main
 from serp.errors import SerpError
 from serp.explicit import decompose_explicit
@@ -315,6 +316,69 @@ class TestScan:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.SCAN_20000_SHA256[delta_max, fmt]
+
+    # sha256 of more scan stdout, recorded before scan read delta = 1
+    # from a table: --method ed2 runs ED2 on every residue, the window at
+    # 1e9 passes the table's cap of 65534, and the one to 140000 spans
+    # three tables
+    SCAN_SHA256 = {
+        "--from 7 --to 20000 --method ed2 --format json":
+            "2710d20f024094ad3c86933f8c3e5945dc347d77cbb48e299148a1562fc4a596",
+        "--from 7 --to 20000 --method ed2 --format csv":
+            "07a18605fd372ad1967abea337ac931174f253940413bd9d76199d2e59eb166e",
+        "--from 1000000000 --to 1000020000 --format json":
+            "075004e4bcfbe665a84e5374aedce60372e76edeb07b1341e50c965c47d4d17e",
+    }
+    SCAN_140000_ED2_SHA256 = "5cd3bdf9920393ccdbca915a9dea1b43895eb62fa0ec42f276c166c73b823a5f"
+
+    @pytest.mark.parametrize("argv", sorted(SCAN_SHA256))
+    def test_more_scan_output_is_pinned(self, argv):
+        code, out = run_cli("scan", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SCAN_SHA256[argv]
+
+    def test_no_table_is_longer_than_one_segment(self, monkeypatch, capsys):
+        lengths = []
+        build = ed2_mod._delta_one_table
+
+        def spy(lo, n, cap):
+            table = build(lo, n, cap)
+            lengths.append(len(table))
+            return table
+
+        monkeypatch.setattr(ed2_mod, "_delta_one_table", spy)
+        code, out = run_cli("scan", "--from", "1", "--to", "140000", "--method", "ed2", "--format", "json")
+        assert code == 1 and capsys.readouterr().err == "no solution within bounds for: [3]\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SCAN_140000_ED2_SHA256
+        assert len(lengths) == 3 and max(lengths) == _SEGMENT
+
+    # (from, to, table segment): a window that starts below 2; one across
+    # table boundaries, with tables of 64 integers; one near 1e9, where
+    # isqrt(5P + 1) passes the table's cap of 65534 and 1000004981 and
+    # 1000005029 leave delta = 1 to the search; and the last integers
+    # the primality test decides
+    WINDOWS = [
+        (-5, 150, _SEGMENT),
+        (400, 700, 64),
+        (1_000_004_900, 1_000_005_100, _SEGMENT),
+        (MR_DETERMINISTIC_BOUND - 230, MR_DETERMINISTIC_BOUND - 1, _SEGMENT),
+    ]
+
+    @pytest.mark.parametrize("lo, hi, segment", WINDOWS)
+    @pytest.mark.parametrize("method", ["auto", "ed2", "ed1", "explicit"])
+    def test_window_writes_the_rows_of_decompose(self, monkeypatch, capsys, method, lo, hi, segment):
+        monkeypatch.setattr(ed2_mod, "_SEGMENT", segment)
+        rows, misses = [], []
+        for P in primes_between(lo, hi):
+            code, out = run_cli("decompose", str(P), "--method", method, "--format", "json")
+            capsys.readouterr()
+            rows.append(out)
+            if code == 1:
+                misses.append(P)
+        code, out = run_cli("scan", "--from", str(lo), "--to", str(hi), "--method", method, "--format", "json")
+        err = capsys.readouterr().err
+        assert out == "".join(rows)
+        assert (code, err) == ((1, f"no solution within bounds for: {misses}\n") if misses else (0, ""))
 
     @pytest.mark.parametrize("to", [MR_DETERMINISTIC_BOUND, 10**30])
     def test_range_past_primality_bound_fails_first(self, monkeypatch, capsys, to):

@@ -1,11 +1,16 @@
 import json
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from serp.arith import MR_DETERMINISTIC_BOUND, primes_between
 from serp.ed2 import (
     Ed2Witness,
     NormalizedEd2,
+    _delta_one_table,
+    _DeltaOne,
     ed2_case_a,
     ed2_normalize,
     ed2_reconstruct,
@@ -95,6 +100,62 @@ class TestSearch:
         for w in ed2_search(31, 10):
             mult = classify_solution(ed2_reconstruct(w))
             assert mult.count == 2 and mult.positions == ("B", "C")
+
+
+def least_r_by_division(P: int, cap: int) -> int:
+    """The least r = 4 (mod 5), r <= cap, dividing 5P + 1, or 0."""
+    return next((r for r in range(4, cap + 1, 5) if (5 * P + 1) % r == 0), 0)
+
+
+class TestDeltaOne:
+    # caps below 4, caps that miss divisors, the seed-0 scan window's
+    # cap, the 65534 cap near 1e9, and the last integers the
+    # primality test decides
+    @pytest.mark.parametrize("lo, n, cap", [
+        (0, 2000, 3), (0, 2000, 4), (0, 3000, 100), (5, 1, 2013), (611072, 600, 2013),
+        (10**9, 200, 65534), (MR_DETERMINISTIC_BOUND - 40, 40, 65534),
+    ])
+    def test_table_is_the_least_divisor(self, lo, n, cap):
+        table = _delta_one_table(lo, n, cap)
+        assert table.tolist() == [least_r_by_division(P, cap) for P in range(lo, lo + n)]
+        # The cofactor of r is = 4 (mod 5) too, so no least r passes isqrt(5P + 1).
+        assert all(r <= isqrt(5 * P + 1) for P, r in zip(range(lo, lo + n), table))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**12), st.integers(0, 300), st.integers(0, 3000))
+    def test_table_property(self, lo, n, cap):
+        assert _delta_one_table(lo, n, cap).tolist() == [
+            least_r_by_division(P, cap) for P in range(lo, lo + n)
+        ]
+
+    # (window, the (hit, least delta left) pairs its primes show): below
+    # 3000 the cap reaches every isqrt(5P + 1), so the table decides
+    # delta = 1; past it, near 1e9 and below MR_DETERMINISTIC_BOUND, an
+    # empty entry leaves delta = 1 to the search
+    @pytest.mark.parametrize("lo, hi, outcomes", [
+        (2, 3000, {(True, 1), (False, 2), (False, 1)}),
+        (10**9, 10**9 + 6000, {(True, 1), (False, 1)}),
+        (MR_DETERMINISTIC_BOUND - 230, MR_DETERMINISTIC_BOUND - 1, {(True, 1)}),
+    ])
+    def test_first_is_ed2_search_at_delta_one(self, lo, hi, outcomes):
+        delta_one, seen = _DeltaOne(hi), {}
+        for P in primes_between(lo, hi):
+            if P == 5:
+                continue
+            w, start = delta_one.first(P)
+            found = ed2_search(P, 1, 1)
+            if w is not None:
+                assert (w, start) == (found[0], 1), P
+            elif start == 2:
+                assert found == [], P
+            else:
+                assert start == 1, P
+            seen[P] = (w is not None, start)
+        assert set(seen.values()) == outcomes
+        if lo == 2:  # b = c at P = 3: the search rejects the pair 4 * 4
+            assert seen[3] == (False, 1)
+        if lo == 10**9:  # a hit through an r past the 65534 cap
+            assert seen[1000005029] == (False, 1) and ed2_search(1000005029, 1, 1)
 
 
 class TestCaseA:

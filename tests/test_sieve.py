@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from serp import sieve
-from serp.arith import is_prime
+from serp.arith import euler_phi, is_prime
 from serp.cli import main
 from serp.errors import BadResidue, DeltaFilterFailed, NotCoprime
 from serp.sieve import (
@@ -19,6 +19,7 @@ from serp.sieve import (
     build_progression_class,
     class_scans,
     li_estimate,
+    phi_sum,
     reconstruct_from_class,
     scan_class_primes,
 )
@@ -176,6 +177,17 @@ class TestCounts:
             admissible_moduli(20, delta)
         with pytest.raises(ValueError, match="delta must be >= 1"):
             build_progression_class(delta, 9)
+
+    # R = 0..24 covers 0 to 4 terms (odd and even counts of the pairwise
+    # tree); the larger R leave partial subtrees of several sizes
+    @pytest.mark.parametrize("R", [0, 3, 4, 9, 14, 19, 24, 100, 1234, 5000])
+    @pytest.mark.parametrize("delta", [1, 7, 25])
+    def test_phi_sum_is_the_sequential_sum(self, R, delta):
+        terms = [Fraction(1, euler_phi(5 * r)) for r in admissible_moduli(R, delta)]
+        sequential = Fraction(0)
+        for term in terms:
+            sequential += term
+        assert phi_sum(R, delta) == sequential
 
 
 class TestAverageReport:
