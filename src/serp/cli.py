@@ -8,18 +8,23 @@ stdout is not a TTY, an aligned table when it is, CSV on request.
 Every subcommand builds plain records and hands them to _emit, the one
 place that knows the three formats.  json and csv are written record by
 record, so a scan streams its solutions; only the table waits for the
-last record, because it needs the column widths.  The one exception is
-the stats json record: _emit_streaming writes it with its per-prime
-n_of_p object in pieces, as the sieve formats them, so that object is
-never held whole.  numpy is imported by stats alone, when it runs:
-sieve counts its class rows from the segments of a bytearray sieve.
-scan takes the first ED2 step, delta = 1, of every prime from one
-table per segment of its window (ed2._DeltaOne): the primes P for
+last record, because it needs the column widths.  Two kinds of json
+record are written around it, to the bytes it would write.  A
+solution's line comes from one fixed-schema f-string in
+_emit_solutions, since a scan writes one per prime.  The stats record
+is written by _emit_streaming with its per-prime n_of_p object in pieces,
+as the sieve formats them, so that object is never held whole.
+Modules load with the subcommand that runs them: numpy with stats
+alone (sieve counts its class rows from the segments of a bytearray
+sieve), serp.tables and serp.bridge with table and csv solution rows
+alone.  scan takes the first ED2 step, delta = 1, of every prime from
+one table per segment of its window (ed2._DeltaOne): the primes P for
 which an r = 4 (mod 5) divides 5P + 1 form the class
 P = -(r + 1)/5 (mod r), so each entry, the least such r up to
-min(isqrt(5*to + 1), 65534), is found without factoring 5P + 1; only
-past that cap does an empty entry fall back to the search at
-delta = 1.
+min(isqrt(5*to + 1), 65534), is found without factoring 5P + 1; a rest
+of the window narrower than its classes divides 5P + 1 by them
+instead.  Only past that cap does an empty entry fall back to the
+search at delta = 1.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation.
@@ -39,16 +44,14 @@ from .ed2 import _DeltaOne, default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError, WrongResidue
 from .explicit import decompose_explicit, repair_distinct
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
-from .tables import ROW_COLUMNS, TABLE_IDS, TABLES, audit_table, row_from_bc
 
+# serp.tables (and through it serp.bridge) loads only where a subcommand
+# writes a published-table layout: cmd_table and csv solution rows.  The
+# parser needs the table ids before that; tests pin them to
+# serp.tables.TABLE_IDS.
+TABLE_IDS = ("31", "41", "73", "97", "2521", "3511")
 SOLUTION_COLUMNS = ("P", "A", "B", "C", "class", "strict")
-SOLUTION_CSV_COLUMNS = ("#",) + ROW_COLUMNS  # the published-table layout
 CSV_FIELDS = ("delta", "r", "modulus", "residue", "primes_found", "first_prime", "exceptional")
-ERRATA_CSV_COLUMNS = (
-    ("#", "status", "xy_lemma_ok", "mismatched_columns")
-    + tuple(f"printed_{c}" for c in ROW_COLUMNS)
-    + tuple(f"recomputed_{c}" for c in ROW_COLUMNS)
-)
 ERRATA_TABLE_COLUMNS = ("#", "status", "xy_lemma_ok", "mismatched", "recomputed")
 
 _USAGE_EXIT = 2
@@ -115,21 +118,30 @@ def _pick_format(args) -> str:
     return "table" if sys.stdout.isatty() else "json"
 
 
-def _solution_table_row(idx: int, sol: Solution) -> dict:
-    """Solution rendered in the published-table column layout; columns
-    that only exist for two-multiple rows stay empty otherwise."""
-    row = {"#": idx, "A": sol.A, "B": sol.B, "C": sol.C}
-    if sol.B % sol.P == 0 and sol.C % sol.P == 0:
-        full = row_from_bc(sol.P, sol.B // sol.P, sol.C // sol.P)
-        if full is not None and full["A"] == sol.A:
-            row.update(full)
-    return row
+def _solution_table_rows(solutions: Iterable[Solution]) -> Iterable[dict]:
+    """Solutions rendered in the published-table column layout, numbered
+    from 1; columns that only exist for two-multiple rows stay empty
+    otherwise."""
+    from .tables import row_from_bc
+
+    for idx, sol in enumerate(solutions, start=1):
+        row = {"#": idx, "A": sol.A, "B": sol.B, "C": sol.C}
+        if sol.B % sol.P == 0 and sol.C % sol.P == 0:
+            full = row_from_bc(sol.P, sol.B // sol.P, sol.C // sol.P)
+            if full is not None and full["A"] == sol.A:
+                row.update(full)
+        yield row
 
 
 def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
     """Write solutions as they come, each verified just before (no
     unchecked output).  Generators throughout, so json and csv output
-    holds no solution past its own line."""
+    holds no solution past its own line.
+
+    A json line is written by one f-string with the fixed keys of
+    Solution.as_dict in sorted order: the line _json(sol.as_dict())
+    gives, byte for byte, without building the dict.
+    """
 
     def checked():
         for sol in solutions:
@@ -137,9 +149,14 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
                 raise InvariantViolation(f"unverified solution reached output: {sol}")
             yield sol
 
-    if fmt == "csv":
-        rows = (_solution_table_row(i, s) for i, s in enumerate(checked(), start=1))
-        _emit(rows, SOLUTION_CSV_COLUMNS, fmt, out)
+    if fmt == "json":
+        for s in checked():
+            out.write(f'{{"A":{s.A},"B":{s.B},"C":{s.C},"P":{s.P},'
+                      f'"class":"{s.cls.value}","strict":{"true" if s.strict else "false"}}}\n')
+    elif fmt == "csv":
+        from .tables import ROW_COLUMNS
+
+        _emit(_solution_table_rows(checked()), ("#",) + ROW_COLUMNS, fmt, out)
     else:
         _emit((s.as_dict() for s in checked()), SOLUTION_COLUMNS, fmt, out)
 
@@ -313,8 +330,9 @@ def cmd_stats(args, out) -> int:
     return 0
 
 
-def _errata_row(e) -> dict:
-    """One audited row with the cells of both the csv and the table layout."""
+def _errata_row(e, row_columns) -> dict:
+    """One audited row with the cells of both the csv and the table
+    layout, whose printed and recomputed cells follow row_columns."""
     if e.recomputed is None:
         summary = "unrecoverable from any anchor"
     else:
@@ -327,13 +345,15 @@ def _errata_row(e) -> dict:
         "mismatched": ";".join(e.mismatched_columns) or "-",
         "recomputed": summary,
     }
-    for c in ROW_COLUMNS:
+    for c in row_columns:
         row[f"printed_{c}"] = e.printed.get(c)
         row[f"recomputed_{c}"] = None if e.recomputed is None else e.recomputed.get(c)
     return row
 
 
 def cmd_table(args, out) -> int:
+    from .tables import ROW_COLUMNS, TABLES, audit_table
+
     fmt = _pick_format(args)
     if not args.check:
         rows = []
@@ -341,11 +361,16 @@ def cmd_table(args, out) -> int:
             row = {c: printed.get(c, "") for c in ROW_COLUMNS}
             row["#"] = i
             rows.append(row)
-        _emit(rows, SOLUTION_CSV_COLUMNS, fmt, out)
+        _emit(rows, ("#",) + ROW_COLUMNS, fmt, out)
         return 0
     entries = audit_table(args.table_id)
-    records = [e.as_dict() if fmt == "json" else _errata_row(e) for e in entries]
-    _emit(records, ERRATA_CSV_COLUMNS if fmt == "csv" else ERRATA_TABLE_COLUMNS, fmt, out)
+    records = [e.as_dict() if fmt == "json" else _errata_row(e, ROW_COLUMNS) for e in entries]
+    errata_csv_columns = (
+        ("#", "status", "xy_lemma_ok", "mismatched_columns")
+        + tuple(f"printed_{c}" for c in ROW_COLUMNS)
+        + tuple(f"recomputed_{c}" for c in ROW_COLUMNS)
+    )
+    _emit(records, errata_csv_columns if fmt == "csv" else ERRATA_TABLE_COLUMNS, fmt, out)
     return 0
 
 

@@ -27,7 +27,8 @@ isqrt(5P + 1).  _DeltaOne reads P's entry: an r is
 ed2_search(P, 1, 1)'s first witness; no r while the cap reaches
 isqrt(5P + 1) means delta = 1 has no witness; only no r under a cap
 below isqrt(5P + 1) (P past about 8.6e8) leaves delta = 1 to the
-search.  Memory stays at one segment of the window.
+search.  Memory stays at one segment of the window, and a rest of the
+window narrower than its classes is answered by division instead.
 """
 
 from __future__ import annotations
@@ -145,20 +146,44 @@ class _DeltaOne:
     """ED2 at delta = 1 for the primes of a window that ends at hi, read
     from one _delta_one_table of at most _SEGMENT integers at a time.  A
     prime the current table does not cover starts the next one, so
-    primes asked in ascending order build each table once."""
+    primes asked in ascending order build each table once.
+
+    A table costs one step per class r = 4 (mod 5), r <= cap, however
+    few integers it covers.  So while the rest of the window holds fewer
+    integers than the classes not yet paid for, a prime's entry is found
+    by dividing 5P + 1 by the classes in ascending order instead, each
+    division paid from the class count; when the rest outnumbers what is
+    left, the rest gets its table.  A window thus makes at most twice
+    as many divisions as it has classes, and a narrow window past
+    P = 8.6e8, whose primes mostly hit a small r, makes a handful instead
+    of striking 13,107 classes."""
 
     def __init__(self, hi: int):
         self.hi, self.cap = hi, min(isqrt(5 * hi + 1), _SIEVE_LIMIT - 2)
         self.lo, self.table = 0, array("H")
+        self.unpaid = len(range(4, self.cap + 1, 5))  # divisions left before a table
+
+    def least_r(self, P: int) -> int:
+        """P's entry of _delta_one_table(P, 1, self.cap)."""
+        if 0 <= P - self.lo < len(self.table):
+            return self.table[P - self.lo]
+        n = min(_SEGMENT, self.hi - P + 1)
+        if n < self.unpaid:
+            # the least such r never exceeds isqrt(5P + 1): see _delta_one_table
+            N = 5 * P + 1
+            rs = range(4, min(self.cap, isqrt(N)) + 1, 5)
+            r = next((r for r in rs if N % r == 0), 0)
+            self.unpaid -= (r + 1) // 5 if r else len(rs)
+            return r
+        self.lo, self.table = P, array("H")  # never hold two tables at once
+        self.table = _delta_one_table(P, n, self.cap)
+        return self.table[0]
 
     def first(self, P: int) -> tuple[Ed2Witness | None, int]:
         """ed2_search(P, 1, 1)'s first witness, or None and the least
         delta left to search: 2 when delta = 1 has no witness, 1 when the
         table cannot tell (or b = c, as at P = 3)."""
-        if not 0 <= P - self.lo < len(self.table):
-            self.lo, self.table = P, array("H")  # never hold two tables at once
-            self.table = _delta_one_table(P, min(_SEGMENT, self.hi - P + 1), self.cap)
-        r = self.table[P - self.lo]
+        r = self.least_r(P)
         if r:  # r <= isqrt(5P + 1): its cofactor is = 4 (mod 5) too, and no smaller
             return pair_from_divisor(P, 1, r), 1
         return None, 2 if self.cap >= isqrt(5 * P + 1) else 1

@@ -17,9 +17,11 @@ class SolutionClass(str, Enum):
     EXPLICIT = "Explicit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
-    """A verified triple with denominators stored in ascending order."""
+    """A verified triple with denominators stored in ascending order.
+
+    Slotted: a scan builds one per prime, so each holds no __dict__."""
 
     P: int
     A: int

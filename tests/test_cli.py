@@ -15,7 +15,7 @@ from serp.arith import _SEGMENT, MR_DETERMINISTIC_BOUND, is_prime, primes_betwee
 from serp.cli import main
 from serp.errors import SerpError
 from serp.explicit import decompose_explicit
-from serp.solution import verify_solution
+from serp.solution import Solution, SolutionClass, verify_solution
 
 
 def run_cli(*argv):
@@ -205,6 +205,19 @@ class TestVerify:
     def test_composite(self):
         code, _ = run_cli("verify", "4", "1", "2", "3")
         assert code == 2
+
+
+# A solution's json line comes from one fixed-schema f-string; it must be
+# the line the general serialiser writes for sol.as_dict().  The triples
+# drawn here need not verify, so the check before output is bypassed.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Solution, *[st.integers(1, 10**40)] * 4,
+                          st.sampled_from(SolutionClass), st.booleans()), max_size=4))
+def test_solution_json_line_is_the_serialisers(solutions):
+    out = io.StringIO()
+    with mock.patch.object(cli_mod, "verify_solution", lambda *triple: True):
+        cli_mod._emit_solutions(iter(solutions), "json", out)
+    assert out.getvalue() == "".join(cli_mod._json(s.as_dict()) + "\n" for s in solutions)
 
 
 class TestScan:

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -147,3 +149,20 @@ def test_oracle_solutions_classify_and_stay_in_bounds(oracle):
             mult = classify_solution(sol)
             assert mult.count in (1, 2)
             assert P < 5 * sol.A < 3 * P
+
+
+class TestSolutionRecord:
+    # Solution is slotted: no __dict__, and still frozen, hashed on its
+    # fields and picklable.
+    def test_slotted_record_keeps_its_contract(self):
+        sol = make_solution(11, 99, 3, 9, SolutionClass.ED1)
+        assert not hasattr(sol, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.A = 4
+        with pytest.raises((AttributeError, TypeError)):
+            sol.extra = 1
+        assert hash(sol) == hash((11, 3, 9, 99, SolutionClass.ED1, True))
+        assert sol == Solution(11, 3, 9, 99, SolutionClass.ED1, True)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(sol, protocol))
+            assert back == sol and hash(back) == hash(sol) and back.cls is SolutionClass.ED1

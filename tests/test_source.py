@@ -236,6 +236,42 @@ def test_cli_import_loads_only_what_it_uses():
     assert proc.returncode == 0, proc.stderr
 
 
+# serp.tables, and through it serp.bridge, loads only where a subcommand
+# writes a published-table layout: table and csv solution rows.  Each
+# argv runs in a fresh process after import serp.cli; the script prints
+# whether either module was loaded before the run, the exit code, and
+# whether each is loaded after.
+TABLE_MODULES_SCRIPT = """
+import io
+import sys
+
+import serp.cli
+
+before = "serp.tables" in sys.modules or "serp.bridge" in sys.modules
+code = serp.cli.main({argv!r}, out=io.StringIO())
+print(before, code, "serp.tables" in sys.modules, "serp.bridge" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["scan", "--from", "2", "--to", "3000", "--format", "json"], False),
+    (["decompose", "2521", "--all", "--format", "json"], False),
+    (["decompose", "2521", "--all", "--format", "csv"], True),
+    (["table", "31", "--check"], True),
+])
+def test_tables_load_only_for_table_layouts(argv, loaded):
+    proc = _python(TABLE_MODULES_SCRIPT.format(argv=argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "0", str(loaded), str(loaded)]
+
+
+def test_cli_table_ids_are_the_tables():
+    import serp.cli
+    import serp.tables
+
+    assert serp.cli.TABLE_IDS == serp.tables.TABLE_IDS
+
+
 SUBMODULE_SCRIPT = """
 import sys
 
