@@ -150,9 +150,9 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
             yield sol
 
     if fmt == "json":
-        for s in checked():
+        for s in checked():  # cls._value_: .value is a descriptor call per line
             out.write(f'{{"A":{s.A},"B":{s.B},"C":{s.C},"P":{s.P},'
-                      f'"class":"{s.cls.value}","strict":{"true" if s.strict else "false"}}}\n')
+                      f'"class":"{s.cls._value_}","strict":{"true" if s.strict else "false"}}}\n')
     elif fmt == "csv":
         from .tables import ROW_COLUMNS
 

@@ -14,17 +14,19 @@ The statistics side counts N(P; R, delta) = #{r <= R admissible with
 r | 5*P*delta + 1} per prime, its exact average over primes P <= x with
 P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
 class contains no prime <= x.  Every class is a subset of the primes
-P = 5k + 1, so class_scans, the one source of class rows for both
-stats and sieve, runs arith's segmented sieve over k once and reads
-each class's count and first member from every segment at the class's
-stride, with no numpy and no flags kept past their segment.
-average_local_params, the entry of stats, adds the numpy pass that
-builds N(P; R, delta) per prime.  Both refuse, before sieving or
-listing a modulus, an (x, R) whose estimated working set passes
-WORKING_SET_BUDGET.  The per-prime counts reach json as text pieces in
-key order (ScanReport.n_of_p_json), never as one dict.  numpy and the
-_kernels sieve are imported only by the functions that build per-prime
-arrays.
+P = 5k + 1, and _ClassRows, the one rule of class rows, reads each
+class's count and first member from a segment of flags over k at the
+class's stride.  class_scans, the entry of sieve, takes the flags from
+arith's segmented sieve, with no numpy and no flags kept past their
+segment.  average_local_params, the entry of stats, sieves once: it
+lists the primes P = 5k + 1 <= x with _kernels.class_primes, sets
+each segment's flags from them, and adds each class into one small
+array of hits at its stride, which gives N(P; R, delta) for the
+segment's primes.  Both refuse, before sieving or listing a modulus,
+an (x, R) whose estimated working set passes WORKING_SET_BUDGET.  The
+per-prime counts reach json as text pieces in key order
+(ScanReport.n_of_p_json), never as one dict.  numpy and the _kernels
+sieve are imported only by the functions that build per-prime arrays.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Peak bytes per prime P = 1 (mod 5) while stats runs: primes and totals
-# (int64 each), then either a class's primes % modulus and its mask, or
-# the sort key and order of n_of_p_json (int64 each).
+# (int64 each), then the sort key and order of n_of_p_json (int64 each).
+# The flags, hits and k of average_local_params hold one SEGMENT at a
+# time, and the class rows are counted by BYTES_PER_CLASS.
 BYTES_PER_PRIME = 32
 # Peak bytes per class row, with its first solution, in the costliest
 # format: about 1.3 KB measured for a sieve table row.
 BYTES_PER_CLASS = 2048
 WORKING_SET_BUDGET = 1 << 30  # bytes; class_scans refuses (x, R) past it
-N_OF_P_CHUNK = 1 << 15  # n_of_p members per json piece
-SEGMENT = 1 << 18  # values k of P = 5k + 1 per class_scans segment
+N_OF_P_CHUNK = 1 << 13  # n_of_p members per json piece
+SEGMENT = 1 << 18  # values k of P = 5k + 1 per segment of class rows
 
 
 @dataclass(frozen=True)
@@ -157,9 +160,17 @@ class ScanReport:
             padded[: np.searchsorted(primes, 10**k)] *= 10
         order = padded.argsort()
         del padded
+        # a piece is '"' + P + '":N,"' + P + '":N,"' ... without its last ',"';
+        # suffix[N] covers every total, so none is formatted twice
+        suffix = [f'":{n},"' for n in range(int(totals.max()) + 1)]
         for start in range(0, order.size, N_OF_P_CHUNK):
             idx = order[start : start + N_OF_P_CHUNK]
-            yield ",".join(map('"{}":{}'.format, primes[idx].tolist(), totals[idx].tolist()))
+            parts = [""] * (2 * idx.size)
+            parts[::2] = map(str, primes[idx].tolist())
+            parts[1::2] = map(suffix.__getitem__, totals[idx].tolist())
+            parts[0] = '"' + parts[0]
+            parts[-1] = parts[-1][:-2]
+            yield "".join(parts)
 
 
 def _check_delta(delta: int) -> None:
@@ -242,15 +253,26 @@ def li_estimate(x: int) -> float:
     """Integer-quadrature stand-in for Li(x): sum over k in [2, x] of 1/log k.
 
     Leaves of _LI_LEAF terms are joined by numpy's own pairwise split, so
-    memory stays flat and the float equals one np.sum bit for bit.
+    memory stays flat and the float equals one np.sum bit for bit.  Every
+    leaf is computed in one buffer, by the operations of that np.sum's
+    1.0 / np.log(np.arange(...)) in the same order, so no leaf asks for
+    fresh pages.
     """
     if x < 2:
         return 0.0
     import numpy as np
 
+    size = min(_LI_LEAF, x - 1)  # the longest leaf
+    steps = np.arange(size, dtype=np.float64)
+    leaf = np.empty(size, dtype=np.float64)  # each leaf's terms, in place
+
     def pairwise(start: int, n: int) -> float:
         if n <= _LI_LEAF:
-            return np.sum(1.0 / np.log(np.arange(start, start + n, dtype=np.float64)))
+            terms = leaf[:n]
+            np.add(steps[:n], start, out=terms)
+            np.log(terms, out=terms)
+            np.divide(1.0, terms, out=terms)
+            return np.sum(terms)
         half = n // 2 - (n // 2) % 8
         return pairwise(start, half) + pairwise(start + half, n - half)
 
@@ -279,6 +301,39 @@ def check_working_set(x: int, R: int) -> None:
         )
 
 
+class _ClassRows:
+    """Each admissible class's count and first prime, read one segment of
+    flags at a time: the one rule of class rows.  An (x, R) past the
+    working-set budget fails before any modulus is listed."""
+
+    def __init__(self, x: int, R: int, delta: int) -> None:
+        check_working_set(x, R)
+        self.classes = [build_progression_class(delta, r) for r in admissible_moduli(R, delta)]
+        self.found = [0] * len(self.classes)
+        self.first: list[int | None] = [None] * len(self.classes)
+
+    def read(self, flags, lo: int) -> list[int]:
+        """Add a segment, flags[i] = 1 when P = 5(lo + i) + 1 is prime, to
+        every class, and return each class's start in it.  A class's
+        members are P = 5k + 1 with k = k0 = (residue - 1)/5 (mod r), so
+        its row is the flags from (k0 - lo) mod r at stride r."""
+        starts = []
+        for i, cls in enumerate(self.classes):
+            start = ((cls.residue - 1) // 5 - lo) % cls.r
+            row = flags[start :: cls.r]
+            self.found[i] += row.count(1)
+            if self.first[i] is None and (j := row.find(1)) >= 0:
+                self.first[i] = 5 * (lo + start + cls.r * j) + 1
+            starts.append(start)
+        return starts
+
+    def scans(self) -> tuple[ClassScan, ...]:
+        return tuple(
+            ClassScan(**vars(cls), primes_found=n, first_prime=p)
+            for cls, n, p in zip(self.classes, self.found, self.first)
+        )
+
+
 def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
     """One ClassScan per admissible r <= R, ascending: the count and the
     first of the primes P <= x in the class, with no numpy.
@@ -287,17 +342,14 @@ def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
     1)/5.  So arith's progression sieve runs once over 5k + 1 <= x with
     the primes up to sqrt(x), SEGMENT values of k at a time.  In each
     segment k = 0 (P = 1) is put back as not prime and each base prime
-    = 1 (mod 5), which struck itself, as prime; then each class reads
-    the flags from (k0 - lo) mod r at stride r.  No flags outlive their
-    segment.  An (x, R) past the working-set budget fails before any
-    sieving or listing of moduli.
+    = 1 (mod 5), which struck itself, as prime; then _ClassRows reads
+    each class from the flags.  No flags outlive their segment.  An
+    (x, R) past the working-set budget fails before any sieving or
+    listing of moduli.
     """
-    check_working_set(x, R)
-    classes = [build_progression_class(delta, r) for r in admissible_moduli(R, delta)]
+    rows = _ClassRows(x, R, delta)
     base = list(primes_between(2, isqrt(max(x, 0))))
     self_struck = [(p - 1) // 5 for p in base if p % 5 == 1]
-    found = [0] * len(classes)
-    first: list[int | None] = [None] * len(classes)
     lo = 0
     for flags in _sieve_flags(1, 5, (x - 1) // 5 + 1, base, SEGMENT):
         hi = lo + len(flags)
@@ -306,40 +358,48 @@ def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
         for k in self_struck:
             if lo <= k < hi:
                 flags[k - lo] = 1
-        for i, cls in enumerate(classes):
-            start = ((cls.residue - 1) // 5 - lo) % cls.r
-            row = flags[start :: cls.r]
-            found[i] += row.count(1)
-            if first[i] is None and (j := row.find(1)) >= 0:
-                first[i] = 5 * (lo + start + cls.r * j) + 1
+        rows.read(flags, lo)
         lo = hi
-    return tuple(
-        ClassScan(**vars(cls), primes_found=n, first_prime=p)
-        for cls, n, p in zip(classes, found, first)
-    )
+    return rows.scans()
 
 
 def average_local_params(x: int, R: int, delta: int) -> ScanReport:
     """class_scans' rows, and the exact mean of N(P; R, delta) over
-    primes P <= x, P = 1 (mod 5).
+    primes P <= x, P = 1 (mod 5), from one sieve.
 
-    The report keeps the primes, ascending, their totals N(P; R, delta)
-    and the class rows; the mean, per-prime counts and exceptional
-    moduli are read from them, and a zero-prime range is flagged by
-    average=None.  Each class's mask over the primes is built, added
-    into totals and dropped.  An (x, R) past the working-set budget
-    fails in class_scans, before anything is sieved.
+    _kernels.class_primes lists the primes P = 5k + 1 <= x once.  Then k
+    is walked SEGMENT values at a time: the segment's primes are set in a
+    bytearray of flags, _ClassRows reads the class rows from it as
+    class_scans does, and each class adds 1 to hits at its start and
+    stride r, so hits[k - lo] = N(5k + 1; R, delta).  hits takes the
+    least unsigned type that holds the class count, which no entry can
+    pass.  The report keeps the primes, ascending, their totals and the
+    class rows; the mean, per-prime counts and exceptional moduli are
+    read from them, and a zero-prime range is flagged by average=None.
+    An (x, R) past the working-set budget fails before anything is
+    sieved or any modulus listed.
     """
     import numpy as np
 
     from ._kernels import class_primes
 
-    classes = class_scans(x, R, delta)
+    rows = _ClassRows(x, R, delta)
     primes = class_primes(1, 5, x)
-    totals = np.zeros(primes.size, dtype=np.int64)
-    for c in classes:
-        totals += primes % c.modulus == c.residue
-    return ScanReport(x, R, delta, primes, totals, classes)
+    totals = np.empty(primes.size, dtype=np.int64)
+    hits_type = np.min_scalar_type(len(rows.classes))
+    n, i0 = (x - 1) // 5 + 1, 0  # the values k with 5k + 1 <= x, and the first prime unread
+    for lo in range(0, n, SEGMENT):
+        hi = min(lo + SEGMENT, n)
+        i1 = int(np.searchsorted(primes, 5 * hi + 1))
+        k = (primes[i0:i1] - 1) // 5 - lo
+        flags = bytearray(hi - lo)
+        np.frombuffer(flags, dtype=np.uint8)[k] = 1
+        hits = np.zeros(hi - lo, dtype=hits_type)
+        for start, cls in zip(rows.read(flags, lo), rows.classes):
+            hits[start :: cls.r] += 1
+        totals[i0:i1] = hits[k]
+        i0 = i1
+    return ScanReport(x, R, delta, primes, totals, rows.scans())
 
 
 def fit_growth_constant(

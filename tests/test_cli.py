@@ -564,9 +564,28 @@ def test_stats_json_writes_in_bounded_pieces():
 
 def refuse_to_sieve(monkeypatch, refuse):
     """Put refuse on the steps that sieve: class_scans' progression sieve,
-    the first in both stats and sieve, and the per-prime sieve of stats."""
+    the one sieve of sieve, and the list of primes, the one sieve of stats."""
     monkeypatch.setattr(sieve, "_sieve_flags", refuse)
     monkeypatch.setattr(_kernels, "class_primes", refuse)
+
+
+def test_stats_sieves_once_and_sieve_once(monkeypatch):
+    calls = {"class_primes": 0, "_sieve_flags": 0}
+
+    def spy(name, step):
+        def counted(*args):
+            calls[name] += 1
+            return step(*args)
+        return counted
+
+    monkeypatch.setattr(_kernels, "class_primes", spy("class_primes", _kernels.class_primes))
+    monkeypatch.setattr(sieve, "_sieve_flags", spy("_sieve_flags", sieve._sieve_flags))
+    code, _ = run_cli("stats", "--x", "1100000", "--rmax", "64", "--delta", "1", "--format", "json")
+    assert code == 0
+    assert calls == {"class_primes": 1, "_sieve_flags": 0}
+    code, _ = run_cli("sieve", "--delta", "1", "--rmax", "64", "--xmax", "1100000", "--format", "json")
+    assert code == 0
+    assert calls == {"class_primes": 1, "_sieve_flags": 1}
 
 
 @pytest.mark.parametrize("command", ["stats", "sieve"])

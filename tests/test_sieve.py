@@ -130,6 +130,35 @@ class TestClassScans:
         assert class_scans(1000, 64, 7) == average_local_params(1000, 64, 7).classes
 
 
+class TestOnePassReport:
+    """average_local_params reads its class rows and per-prime totals
+    from the one list of primes, one segment of k at a time."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=st.integers(1, 20_000),
+        R=st.integers(1, 300),
+        delta=st.integers(1, 50),
+        segment=st.sampled_from([1, 2, 7, 97, sieve.SEGMENT]),
+    )
+    def test_rows_and_totals_match(self, x, R, delta, segment):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "SEGMENT", segment)
+            report = average_local_params(x, R, delta)
+        assert [(c.r, c.primes_found, c.first_prime) for c in report.classes] == expected_rows(x, R, delta)
+        expected = sum((report.primes % c.modulus == c.residue for c in report.classes),
+                       np.zeros(report.prime_count, dtype=np.int64))
+        assert report.totals.tolist() == expected.tolist()
+
+    def test_more_classes_than_a_byte_counts(self):
+        # 280 admissible r <= 1400 at delta = 1: past 255, hits widens
+        x, R = 30_000, 1400
+        assert len(admissible_moduli(R, 1)) > 255
+        report = average_local_params(x, R, 1)
+        assert [(c.r, c.primes_found, c.first_prime) for c in report.classes] == expected_rows(x, R, 1)
+        assert report.totals.tolist() == [count_local_params(int(P), R, 1) for P in report.primes]
+
+
 class TestReconstruct:
     @pytest.mark.parametrize(
         "P,delta,r,expected",
