@@ -34,15 +34,12 @@ def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:
     """Primes p <= limit with p = residue (mod modulus), ascending int64."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    residue %= modulus
-    if limit < 2:
+    first = 2 + (residue - 2) % modulus  # the least member >= 2
+    if limit < first:
         return np.empty(0, dtype=np.int64)
     base = np.flatnonzero(prime_mask(isqrt(limit))).tolist()
-    first = 2 + (residue - 2) % modulus  # the least member >= 2
-    # the base primes in the class, then the members no base prime divides
-    chunks = [np.array([p for p in base if p % modulus == residue], dtype=np.int64)]
-    lo = 0
-    for flags in _sieve_flags(first, modulus, (limit - first) // modulus + 1, base, SEGMENT):
-        chunks.append(first + modulus * (lo + np.flatnonzero(np.frombuffer(flags, dtype=np.uint8))))
-        lo += len(flags)
-    return np.concatenate(chunks)
+    segments = _sieve_flags(first, modulus, (limit - first) // modulus + 1, base, SEGMENT)
+    return np.concatenate([
+        first + modulus * (i * SEGMENT + np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)))
+        for i, flags in enumerate(segments)
+    ])

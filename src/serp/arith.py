@@ -9,8 +9,9 @@ primes below 1000 and hands only the survivors of at least 1e6 to
 is_prime.  factorize_progression factors every a + m*j: below 1024
 values it calls factorize on each, otherwise it sieves out every prime
 below L = 2**16, takes a cofactor below L**2 as prime and hands a
-larger one to factorize.  Each sieve, _kernels.class_primes too, takes
-where a prime first divides a + m*j from progression_strides.  All are
+larger one to factorize.  Each sieve takes where a prime first divides
+a + m*j from progression_strides; _sieve_flags flags exactly the primes
+once its base primes reach the square root of the last value.  All are
 exact up to ~3.3e24 (the last proven witness bound) and raise
 ValueError for an undecided input past it.  divisors_in_class meets in
 the middle when the modulus is at least 6 and coprime to n.
@@ -209,8 +210,6 @@ class Factorization:
 # primality question, so a cofactor below _TRIAL_LIMIT**2 is prime.  One
 # gcd with their product tells which of them divide n.
 _TRIAL_LIMIT = 1000
-_TRIAL_PRIMES = tuple(p for p in range(2, _TRIAL_LIMIT) if is_prime(p))
-_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
 _SEGMENT = 1 << 16  # integers per primes_between segment
 _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
@@ -301,17 +300,15 @@ def factorize(n: int) -> Factorization:
 def primes_between(lo: int, hi: int) -> Iterator[int]:
     """The primes p with lo <= p <= hi, ascending, as a generator.
 
-    The base primes are those below _TRIAL_LIMIT with p*p <= hi.  The
-    ones in [lo, hi] come first; then _sieve_flags strikes every
-    multiple of a base prime from [lo, hi], one segment of _SEGMENT
-    integers at a time.  A survivor exceeds every base prime, so one
-    below _TRIAL_LIMIT**2 is prime and a larger one is asked of
-    is_prime.  Memory stays at one segment whatever the range, and the
-    generator yields each segment's primes before it sieves the next.
+    _sieve_flags sieves [lo, hi] by the primes below _TRIAL_LIMIT with
+    p*p <= hi, one segment of _SEGMENT integers at a time.  A survivor
+    has no smaller base prime as a factor, so one below _TRIAL_LIMIT**2
+    is prime and a larger one is asked of is_prime.  Memory stays at one
+    segment whatever the range, and the generator yields each segment's
+    primes before it sieves the next.
     """
     lo = max(lo, 2)
     base = [p for p in _TRIAL_PRIMES if p * p <= hi]
-    yield from (p for p in base if p >= lo)
     for flags in _sieve_flags(lo, 1, hi - lo + 1, base, _SEGMENT):
         for n in compress(range(lo, lo + len(flags)), flags):
             if n < _TRIAL_SQUARE or is_prime(n):
@@ -331,7 +328,7 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
     and one that divides m divides every value or none.  So every prime
     below _SIEVE_LIMIT (L = 2**16) is struck from a segment of
     _SIEVE_SEGMENT values at once, from the first index that
-    progression_strides gives, by the rule of _sieve_flags.  The primes
+    progression_strides gives, the prime itself included.  The primes
     are struck in ascending order, so each value's factors come out
     sorted.  A cofactor below L**2 is then prime without a primality
     test, and a larger one goes to factorize.  A value past
@@ -409,17 +406,33 @@ def _sieve_flags(
     a: int, m: int, n: int, primes: Sequence[int], segment: int
 ) -> Iterator[bytearray]:
     """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over
-    a + m*j, j < n: per segment, a bytearray that is 0 where a prime in
-    primes divides the value, the prime itself included."""
-    strikes = list(zip(*progression_strides(a, m, primes)[1:]))
+    a + m*j, j < n, a and m >= 1: per segment, a bytearray that is 0
+    where the value is 1 or a prime in primes divides it, the prime
+    itself excepted.  So the flags are exactly the primes when primes
+    holds every prime up to the square root of the last value."""
+    strikes = [
+        (s, j + s if a + m * j == p else j)  # a base prime strikes from its next value
+        for p, s, j in zip(*progression_strides(a, m, primes))
+    ]
     zeros = memoryview(bytes(min(segment, max(n, 0))))
     for lo in range(0, n, segment):
         size = min(segment, n - lo)
         flags = bytearray(b"\x01") * size
+        if lo == 0 and a == 1:
+            flags[0] = 0
         for stride, j in strikes:
-            offset = (j - lo) % stride
+            # not (j - lo) % stride alone: a shifted start can lie a stride past lo
+            offset = j - lo if j >= lo else (j - lo) % stride
             flags[offset::stride] = zeros[: len(range(offset, size, stride))]
         yield flags
+
+
+# 41**2 > _TRIAL_LIMIT, so the primes up to 41 sieve out the trial primes.
+_TRIAL_PRIMES = tuple(compress(
+    range(2, _TRIAL_LIMIT),
+    next(_sieve_flags(2, 1, _TRIAL_LIMIT - 2, _SMALL_PRIMES, _TRIAL_LIMIT)),
+))
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
 def squarefree_split(delta: int) -> tuple[int, int]:

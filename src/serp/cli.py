@@ -219,11 +219,11 @@ def cmd_decompose(args, out) -> int:
     solutions = _decompose(P, args, args.all)
     if not solutions:
         gamma_max, delta_max = _bounds_for(P, args)
-        print(
-            f"no solution for P = {P} within gamma <= {gamma_max}, "
-            f"delta <= {delta_max}; raise --gamma-max/--delta-max",
-            file=sys.stderr,
-        )
+        engines = (("ed1", "gamma", gamma_max), ("ed2", "delta", delta_max))
+        ran = [(name, bound) for method, name, bound in engines if args.method in ("auto", method)]
+        within = ", ".join(f"{name} <= {bound}" for name, bound in ran)
+        flags = "/".join(f"--{name}-max" for name, _ in ran)
+        print(f"no solution for P = {P} within {within}; raise {flags}", file=sys.stderr)
         return 1
     _emit_solutions(solutions, _pick_format(args), out)
     return 0

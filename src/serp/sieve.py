@@ -16,8 +16,8 @@ P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
 class contains no prime <= x.  Every class is a subset of the primes
 P = 5k + 1, and _ClassRows, the one rule of class rows, reads each
 class's count and first member from a segment of flags over k at the
-class's stride.  class_scans, the entry of sieve, takes the flags from
-arith's segmented sieve, with no numpy and no flags kept past their
+class's stride.  class_scans, the entry of sieve, takes exact prime
+flags from arith's sieve, with no numpy and no flags kept past their
 segment.  average_local_params, the entry of stats, sieves once: it
 lists the primes P = 5k + 1 <= x with _kernels.class_primes, sets
 each segment's flags from them, and adds each class into one small
@@ -340,26 +340,15 @@ def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
 
     Every class lies in P = 5k + 1, k = k0 (mod r) with k0 = (residue -
     1)/5.  So arith's progression sieve runs once over 5k + 1 <= x with
-    the primes up to sqrt(x), SEGMENT values of k at a time.  In each
-    segment k = 0 (P = 1) is put back as not prime and each base prime
-    = 1 (mod 5), which struck itself, as prime; then _ClassRows reads
-    each class from the flags.  No flags outlive their segment.  An
-    (x, R) past the working-set budget fails before any sieving or
-    listing of moduli.
+    the primes up to sqrt(x), SEGMENT values of k at a time, and flags
+    exactly the primes P; _ClassRows reads each class from the flags.
+    No flags outlive their segment.  An (x, R) past the working-set
+    budget fails before any sieving or listing of moduli.
     """
     rows = _ClassRows(x, R, delta)
     base = list(primes_between(2, isqrt(max(x, 0))))
-    self_struck = [(p - 1) // 5 for p in base if p % 5 == 1]
-    lo = 0
-    for flags in _sieve_flags(1, 5, (x - 1) // 5 + 1, base, SEGMENT):
-        hi = lo + len(flags)
-        if lo == 0:
-            flags[0] = 0
-        for k in self_struck:
-            if lo <= k < hi:
-                flags[k - lo] = 1
-        rows.read(flags, lo)
-        lo = hi
+    for i, flags in enumerate(_sieve_flags(1, 5, (x - 1) // 5 + 1, base, SEGMENT)):
+        rows.read(flags, i * SEGMENT)
     return rows.scans()
 
 

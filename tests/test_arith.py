@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +344,26 @@ def test_progression_strides_give_each_primes_first_index(a, m, g, h, primes):
         assert all((a + m * i) % p for i in range(j))
     for p in set(primes) - set(kept):  # p divides every difference, not a
         assert m % p == 0 and a % p != 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.one_of(st.just(1), st.sampled_from(BASE_PRIMES[:30]), st.integers(1, 10**6)),
+    m=st.integers(1, 60),
+    g=st.sampled_from([1, 2, 3, 7, 30]),
+    n=st.integers(0, 400),
+    segment=st.sampled_from([1, 2, 3, 7, 64]),
+)
+def test_sieve_flags_are_exactly_the_primes(a, m, g, n, segment):
+    # a = 1 must not be flagged; g > 1 puts its primes in gcd(a, m), and
+    # g in {2, 3, 7} with a = 1 makes the first value a base prime that
+    # divides every value.  A small segment puts the start a base prime
+    # shifts to, one stride past itself, in a later segment.
+    a, m = a * g, m * g
+    values = range(a, a + m * n, m)
+    base = list(primes_between(2, isqrt(values[-1]))) if n else []
+    got = b"".join(arith._sieve_flags(a, m, n, base, segment))
+    assert got == bytes(map(is_prime, values))
 
 
 class TestFactorizeProgression:

@@ -110,6 +110,17 @@ class TestDecompose:
         assert out == ""
         assert "P = 2 is out of scope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, bounds", [
+        ("auto", "gamma <= 4, delta <= 1; raise --gamma-max/--delta-max"),
+        ("ed1", "gamma <= 4; raise --gamma-max"),
+        ("ed2", "delta <= 1; raise --delta-max"),
+    ])
+    def test_miss_names_the_bounds_searched(self, capsys, method, bounds):
+        # 181 has no witness at delta = 1 nor at gamma = 4
+        code, out = run_cli("decompose", "181", "--method", method, "--gamma-max", "4", "--delta-max", "1")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"no solution for P = 181 within {bounds}\n"
+
     def test_env_override(self):
         # --delta-max overrides P's default bound
         code, out = run_cli(
@@ -457,7 +468,8 @@ class TestStats:
 
 # sha256 of `stats --x X --rmax 64 --delta D` and `sieve --delta D --rmax 64
 # --xmax X` stdout; tests/test_kernels.py and tests/test_sieve.py cross the
-# segment boundaries of class_primes and class_scans
+# segment boundaries of class_primes and class_scans.  At X = 1e7, the
+# density benchmark's x, --rmax is 256 and the sieve spans 8 segments of k.
 DENSITY_SHA256 = {
     ("stats", "100000", "1", "json"): "9546b9759d1f20f86145955969946e6753ba4aa76ee41037426319458a73e4b6",
     ("stats", "100000", "1", "csv"): "2718f889936dcb4f51a9b5a1010e528eef5b52b48fa2ffb8668b603f3f70e236",
@@ -483,15 +495,20 @@ DENSITY_SHA256 = {
     ("sieve", "1100000", "7", "json"): "f0788a36f3e131eee931058f6fff117e63b7718efef7f20d57030740c641ee15",
     ("sieve", "1100000", "7", "csv"): "0dc9a4b1f0e7c3b0cbe4a0db8c162d3b5a7973d98e460ff2b4bbfe61c63113b1",
     ("sieve", "1100000", "7", "table"): "ba6d989a007151ee3df7afc9ab54ae9af942bb198312d08971af82aa14c1aad6",
+    ("sieve", "10000000", "1", "json"): "6946f2de68bc10b779af11df230b83bd54fd836a07db04ef67c3403f1459dffc",
+    ("sieve", "10000000", "1", "csv"): "56e7df201c0643aa9327abb1db27795495f0bc02aa174c21d17ede91d2a149c2",
+    ("sieve", "10000000", "7", "json"): "5a9b0d9dccfb2f8db5058f8cede6d8b879cedf392b6a8b93922255f0102219d3",
+    ("sieve", "10000000", "7", "csv"): "bd4a0715cd757f84a90ed299a15e9f27f117cd58c68fdc362562f315e9a14f5e",
 }
 
 
 @pytest.mark.parametrize("command, x, delta, fmt", sorted(DENSITY_SHA256))
 def test_density_output_is_pinned(command, x, delta, fmt):
+    rmax = "256" if x == "10000000" else "64"
     if command == "stats":
-        argv = ("stats", "--x", x, "--rmax", "64", "--delta", delta)
+        argv = ("stats", "--x", x, "--rmax", rmax, "--delta", delta)
     else:
-        argv = ("sieve", "--delta", delta, "--rmax", "64", "--xmax", x)
+        argv = ("sieve", "--delta", delta, "--rmax", rmax, "--xmax", x)
     code, out = run_cli(*argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DENSITY_SHA256[command, x, delta, fmt]

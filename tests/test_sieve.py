@@ -115,7 +115,7 @@ class TestClassScans:
             assert scanned_rows(x, R, delta) == expected_rows(x, R, delta)
 
     # 121, 961, 1681 and 3721 are the squares of the base primes 11, 31,
-    # 41 and 61 = 1 (mod 5), which strike themselves and are put back
+    # 41 and 61 = 1 (mod 5), which the sieve must flag but not strike
     @pytest.mark.parametrize("x", [0, 1, 2, 10, 11, 121, 961, 1681, 3721])
     @pytest.mark.parametrize("delta", [1, 7])
     def test_rows_at_squares_of_self_struck_primes(self, x, delta):
