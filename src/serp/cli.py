@@ -14,8 +14,8 @@ solution's line comes from one fixed-schema f-string in
 _emit_solutions, since a scan writes one per prime.  The stats record
 is written by _emit_streaming with its per-prime n_of_p object in pieces,
 as the sieve formats them, so that object is never held whole.
-Modules load with the subcommand that runs them: numpy with stats
-alone (sieve counts its class rows from the segments of a bytearray
+Modules load with the subcommand that runs them: numpy with json and
+table stats alone (sieve and csv stats count class rows from a bytearray
 sieve), serp.tables and serp.bridge with table and csv solution rows
 alone.  scan takes the first ED2 step, delta = 1, of every prime from
 one table per segment of its window (ed2._DeltaOne): the primes P for
@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from collections.abc import Iterable
 
@@ -183,6 +184,11 @@ def _decompose(P: int, args, want_all: bool, delta_one: _DeltaOne | None = None)
         return [sol if args.weak else repair_distinct(sol)]
     if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
+    delta_first = 1  # the first ED2 step left to search
+    if delta_one is not None and not want_all and method in ("auto", "ed2"):
+        w, delta_first = delta_one.first(P)
+        if w is not None:
+            return [ed2_reconstruct(w)]
     gamma_max, delta_max = _bounds_for(P, args)
     # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (name, search,
     # reconstruct, parameter steps).  Built per call, not at module level,
@@ -190,7 +196,7 @@ def _decompose(P: int, args, want_all: bool, delta_one: _DeltaOne | None = None)
     engines = [
         (name, search, reconstruct, steps)
         for name, search, reconstruct, steps in (
-            ("ed2", ed2_search, ed2_reconstruct, range(1, delta_max + 1)),
+            ("ed2", ed2_search, ed2_reconstruct, range(delta_first, delta_max + 1)),
             ("ed1", ed1_search, ed1_reconstruct, range(4, gamma_max + 1, 5)),
         )
         if method in ("auto", name)
@@ -199,12 +205,7 @@ def _decompose(P: int, args, want_all: bool, delta_one: _DeltaOne | None = None)
         found = {reconstruct(w) for _, search, reconstruct, steps in engines
                  for w in search(P, steps.stop - 1)}
         return sorted(found, key=Solution.sort_key)
-    for name, search, reconstruct, steps in engines:
-        if name == "ed2" and delta_one is not None:
-            w, start = delta_one.first(P)
-            if w is not None:
-                return [reconstruct(w)]
-            steps = range(start, steps.stop)
+    for _, search, reconstruct, steps in engines:
         for t in steps:  # raise the parameter until the first hit
             found = search(P, t, t)
             if found:
@@ -301,21 +302,40 @@ def cmd_sieve(args, out) -> int:
     return 0
 
 
+def _one_openblas_thread(call, *args):
+    """call(*args) with OPENBLAS_NUM_THREADS=1 while it loads numpy for
+    the first time in this process, so that OpenBLAS starts no pool of
+    one idle thread per extra core: serp makes no BLAS call.  A value
+    the caller set, or a numpy already loaded, is left alone, and
+    os.environ ends as it began."""
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        return call(*args)
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        return call(*args)
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def cmd_stats(args, out) -> int:
-    # average_local_params loads numpy
-    from .sieve import average_local_params, check_working_set, phi_sum
+    from .sieve import average_local_params, check_working_set, class_scans, phi_sum
 
     fmt = _pick_format(args)
-    if fmt != "csv":  # json and table write phi_sum: refuse one they cannot, before sieving
-        check_working_set(args.x, args.rmax)
-        try:
-            str(phi_sum(args.rmax, args.delta))
-        except ValueError:  # a numerator or denominator past the int-to-str limit
-            raise SerpError(
-                f"phi_sum at R = {args.rmax} has more than {sys.get_int_max_str_digits()} "
-                "digits, too many to write; lower --rmax, or use --format csv, which omits it"
-            ) from None
-    report = average_local_params(args.x, args.rmax, args.delta)
+    if fmt == "csv":  # the class rows alone, from class_scans: no numpy
+        rows = class_scans(args.x, args.rmax, args.delta)
+        _emit([c.as_dict() for c in rows], CSV_FIELDS, fmt, out)
+        return 0
+    # json and table write phi_sum: refuse one they cannot, before sieving
+    check_working_set(args.x, args.rmax)
+    try:
+        str(phi_sum(args.rmax, args.delta))
+    except ValueError:  # a numerator or denominator past the int-to-str limit
+        raise SerpError(
+            f"phi_sum at R = {args.rmax} has more than {sys.get_int_max_str_digits()} "
+            "digits, too many to write; lower --rmax, or use --format csv, which omits it"
+        ) from None
+    # average_local_params loads numpy
+    report = _one_openblas_thread(average_local_params, args.x, args.rmax, args.delta)
     if fmt == "table":
         avg = "undefined (no primes)" if report.average is None else str(report.average)
         out.write(f"x = {report.x}  R = {report.R}  delta = {report.delta}\n")

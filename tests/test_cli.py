@@ -376,6 +376,26 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SCAN_140000_ED2_SHA256
         assert len(lengths) == 3 and max(lengths) == _SEGMENT
 
+    @pytest.mark.parametrize("lo, hi, searched", [(1000, 1175, []), (1176, 1185, [1181])])
+    def test_bounds_are_read_only_when_an_engine_runs(self, monkeypatch, lo, hi, searched):
+        # The delta = 1 table answers every P = 1 (mod 5) of the window
+        # but those searched, so only they read their bounds.
+        table = ed2_mod._DeltaOne(hi)
+        ed2_primes = [P for P in primes_between(lo, hi) if P % 5 == 1]
+        assert ed2_primes and [P for P in ed2_primes if table.first(P)[0] is None] == searched
+        calls = []
+        bounds_for = cli_mod._bounds_for
+
+        def spy(P, args):
+            calls.append(P)
+            return bounds_for(P, args)
+
+        monkeypatch.setattr(cli_mod, "_bounds_for", spy)
+        code, out = run_cli("scan", "--from", str(lo), "--to", str(hi), "--format", "json")
+        assert code == 0
+        assert [r["P"] for r in json_lines(out)] == list(primes_between(lo, hi))
+        assert calls == searched
+
     # (from, to, table segment): a window that starts below 2; one across
     # table boundaries, with tables of 64 integers; one near 1e9, where
     # isqrt(5P + 1) passes the table's cap of 65534 and 1000004981 and
@@ -603,6 +623,10 @@ def test_stats_sieves_once_and_sieve_once(monkeypatch):
     code, _ = run_cli("sieve", "--delta", "1", "--rmax", "64", "--xmax", "1100000", "--format", "json")
     assert code == 0
     assert calls == {"class_primes": 1, "_sieve_flags": 1}
+    # csv writes the class rows alone, so stats takes them from sieve's sieve
+    code, _ = run_cli("stats", "--x", "1100000", "--rmax", "64", "--delta", "1", "--format", "csv")
+    assert code == 0
+    assert calls == {"class_primes": 1, "_sieve_flags": 2}
 
 
 @pytest.mark.parametrize("command", ["stats", "sieve"])

@@ -105,8 +105,8 @@ def test_invariant_checks_run_under_python_O():
 
 
 # numpy builds the per-prime arrays of stats alone: importing serp must
-# not load it, and stats loads it when it runs (sieve runs without it:
-# see SIEVE_WITHOUT_NUMPY_SCRIPT).
+# not load it, and json stats loads it when it runs (sieve and csv stats
+# run without it: see WITHOUT_NUMPY_SCRIPT).
 IMPORT_GRAPH_SCRIPT = """
 import io
 import sys
@@ -151,25 +151,72 @@ def test_numpy_loads_only_for_the_sieve():
     assert proc.returncode == 0, proc.stderr
 
 
-# sieve counts its class rows from bytearray segments: with numpy made
-# unimportable it must still write the rows that tests/test_cli.py pins.
+# sieve, and stats as csv, count their class rows from bytearray
+# segments: with numpy made unimportable they must still write the rows
+# they write with it (tests/test_cli.py pins the sieve's).
 SIEVE_ARGV = ["sieve", "--delta", "7", "--rmax", "64", "--xmax", "1100000", "--format", "json"]
-SIEVE_WITHOUT_NUMPY_SCRIPT = f"""
+STATS_CSV_ARGV = ["stats", "--x", "1100000", "--rmax", "64", "--delta", "7", "--format", "csv"]
+WITHOUT_NUMPY_SCRIPT = """
 import sys
 
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import serp.cli
 
-sys.exit(serp.cli.main({SIEVE_ARGV!r}))
+sys.exit(serp.cli.main(sys.argv[1:]))
 """
 
 
-def test_sieve_runs_without_numpy():
-    proc = _python(SIEVE_WITHOUT_NUMPY_SCRIPT)
+def _assert_runs_without_numpy(argv):
+    proc = _python(WITHOUT_NUMPY_SCRIPT, *argv)
     assert proc.returncode == 0, proc.stderr
     expected = io.StringIO()
-    assert main(SIEVE_ARGV, out=expected) == 0
+    assert main(argv, out=expected) == 0
     assert proc.stdout == expected.getvalue()
+
+
+def test_sieve_runs_without_numpy():
+    _assert_runs_without_numpy(SIEVE_ARGV)
+
+
+def test_stats_csv_runs_without_numpy():
+    _assert_runs_without_numpy(STATS_CSV_ARGV)
+
+
+# stats loads numpy with OPENBLAS_NUM_THREADS=1 unless the caller set it:
+# serp makes no BLAS call, so OpenBLAS needs no pool of one thread per
+# extra core.  os.environ must end as it began.
+STATS_THREADS_SCRIPT = """
+import io
+import os
+import sys
+
+import serp.cli
+
+before = dict(os.environ)
+if serp.cli.main(["stats", "--x", "1000", "--rmax", "16", "--delta", "1"], out=io.StringIO()):
+    sys.exit("stats failed")
+if "numpy" not in sys.modules:
+    sys.exit("numpy not loaded by stats")
+if dict(os.environ) != before:
+    sys.exit(f"os.environ changed: {before} -> {dict(os.environ)}")
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+# OpenBLAS starts no more threads than the CPUs this process may run on.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux's /proc/self/task and at least two usable CPUs")
+@pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)])
+def test_stats_starts_openblas_with_one_thread_unless_the_caller_sets_it(caller, threads):
+    path = os.pathsep.join([str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = path
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    proc = subprocess.run([sys.executable, "-c", STATS_THREADS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == threads
 
 
 def test_unknown_package_attribute_raises():
@@ -206,10 +253,10 @@ def test_every_public_name_has_a_user():
     assert sorted(set(serp.__all__) - used - {"lattice_search_m"}) == []
 
 
-def _python(script):
+def _python(script, *args):
     path = os.pathsep.join([str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     return subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
