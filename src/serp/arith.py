@@ -23,8 +23,8 @@ Everything works on plain Python integers (arbitrary precision) plus
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, prod
 
@@ -140,12 +140,11 @@ def _divisors_upto(factors, upto: int) -> list[int]:
 _MEET_MIN_MODULUS = 6
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization as strictly increasing (prime, exponent) pairs."""
+class Factorization(namedtuple("Factorization", "n factors")):
+    """Prime factorization of n: factors holds strictly increasing
+    (prime, exponent) pairs."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def divisors(self) -> list[int]:
         """All positive divisors of n, ascending."""
@@ -258,7 +257,7 @@ def _brent_factor(n: int) -> int:
             return g
 
 
-def factorize(n: int) -> Factorization:
+def factorize(n: int, *, trial: bool = True) -> Factorization:
     """Prime factorization of n >= 1, factors in increasing order.
 
     Strips the primes below _TRIAL_LIMIT, then splits what is left with
@@ -270,12 +269,15 @@ def factorize(n: int) -> Factorization:
     the cofactors its sieve leaves at or above 2**32, and list the
     divisors they need in one residue class with
     Factorization.divisors_in_class; the oracle calls this once per A.
+    trial=False skips the stripping, for a caller that has divided out
+    every prime below _TRIAL_LIMIT already: the sieve's cofactors go
+    straight to rho.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
     counts: dict[int, int] = {}
-    g = gcd(m, _TRIAL_PRODUCT)
+    g = gcd(m, _TRIAL_PRODUCT) if trial else 1
     for p in _TRIAL_PRIMES:
         if g == 1:
             break
@@ -376,8 +378,8 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
             if value >= MR_DETERMINISTIC_BOUND:
                 yield factorize(value)
                 continue
-            if rest >= _SIEVE_SQUARE:
-                factors += factorize(rest).factors
+            if rest >= _SIEVE_SQUARE:  # no prime below _SIEVE_LIMIT left to strip
+                factors += factorize(rest, trial=False).factors
             elif rest > 1:
                 factors.append((rest, 1))
             yield Factorization(value, tuple(factors))

@@ -18,19 +18,18 @@ down rather than hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ed1 import Ed1Witness, ed1_reconstruct
 from .ed2 import Ed2Witness, ed2_reconstruct, pair_from_divisor
 from .errors import SerpError
 
 
-@dataclass(frozen=True)
-class BridgeResult:
-    """Either a mapped witness or the first failed precondition."""
+class BridgeResult(namedtuple("BridgeResult", "witness reason", defaults=(None, None))):
+    """Either a mapped witness (an Ed1Witness or Ed2Witness) or the
+    first failed precondition, as reason."""
 
-    witness: Ed1Witness | Ed2Witness | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def mapped(self) -> bool:

@@ -14,7 +14,7 @@ kernel identity is (gamma*A - c) * (gamma*B - c) = c**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .arith import Factorization, factorize_progression
@@ -22,13 +22,10 @@ from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
 
-@dataclass(frozen=True)
-class Ed1Witness:
-    P: int
-    gamma: int
-    c: int
-    u: int
-    v: int  # u <= v
+class Ed1Witness(namedtuple("Ed1Witness", "P gamma c u v")):
+    """A one-multiple quadruple (gamma, c, u, v) for P, u <= v."""
+
+    __slots__ = ()
 
     @property
     def A(self) -> int:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .arith import _SEGMENT, _SIEVE_LIMIT, Factorization, factorize_progression, squarefree_split
@@ -43,15 +43,11 @@ from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
 
-@dataclass(frozen=True)
-class Ed2Witness:
-    P: int
-    delta: int
-    b: int
-    c: int  # b <= c in search output
-    r: int  # 5b - 1
-    s: int  # 5c - 1
-    A: int  # b*c / delta
+class Ed2Witness(namedtuple("Ed2Witness", "P delta b c r s A")):
+    """A two-multiple witness for P: r = 5b - 1, s = 5c - 1,
+    A = b*c/delta, and b <= c in search output."""
+
+    __slots__ = ()
 
     @property
     def B(self) -> int:
@@ -62,15 +58,8 @@ class Ed2Witness:
         return self.c * self.P
 
 
-@dataclass(frozen=True)
-class NormalizedEd2:
-    g: int
-    bprime: int
-    cprime: int
-    alpha: int
-    dprime: int
-    m: int  # 5A - P
-    canonical: bool
+# A witness's normalized coordinates, with m = 5A - P.
+NormalizedEd2 = namedtuple("NormalizedEd2", "g bprime cprime alpha dprime m canonical")
 
 
 def default_delta_max(P: int) -> int:
@@ -231,4 +220,4 @@ def ed2_normalize(w: Ed2Witness) -> NormalizedEd2:
 def ed2_witness_row(w: Ed2Witness) -> dict:
     """Wire form of a witness plus its normalization, keyed like the
     published tables (b', c' as bprime/cprime, d' as dprime)."""
-    return {**asdict(w), **asdict(ed2_normalize(w))}
+    return {**w._asdict(), **ed2_normalize(w)._asdict()}

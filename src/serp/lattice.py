@@ -13,25 +13,22 @@ kernel surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .arith import squarefree_split
 
 
-@dataclass(frozen=True)
-class SublatticeClass:
-    """Shifted rectangular sublattice of Z^2: coord i = shift[i] (mod moduli[i])."""
+class SublatticeClass(namedtuple("SublatticeClass", "moduli shift")):
+    """Shifted rectangular sublattice of Z^2: coord i = shift[i] (mod moduli[i]).
+    The shift is stored reduced modulo the moduli."""
 
-    moduli: tuple[int, int]
-    shift: tuple[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.moduli) < 1:
-            raise ValueError(f"moduli must be >= 1, got {self.moduli}")
-        object.__setattr__(
-            self, "shift", tuple(a % m for a, m in zip(self.shift, self.moduli))
-        )
+    def __new__(cls, moduli: tuple[int, int], shift: tuple[int, int]):
+        if min(moduli) < 1:
+            raise ValueError(f"moduli must be >= 1, got {moduli}")
+        return super().__new__(cls, moduli, tuple(a % m for a, m in zip(shift, moduli)))
 
     @property
     def index(self) -> int:

@@ -13,18 +13,15 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import Factorization, factorize, is_prime
 from .errors import ClassificationViolation, NotPrime
 from .solution import Solution, SolutionClass, make_solution
 
 
-@dataclass(frozen=True)
-class OracleEnumeration:
-    P: int
-    distinct_only: bool
-    solutions: tuple[Solution, ...]  # lexicographic by (A, B, C)
+# solutions: a tuple of Solution, lexicographic by (A, B, C)
+OracleEnumeration = namedtuple("OracleEnumeration", "P distinct_only solutions")
 
 
 def enumerate_all_solutions(P: int, distinct_only: bool = True) -> OracleEnumeration:

@@ -31,21 +31,17 @@ sieve are imported only by the functions that build per-prime arrays.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, log
 from statistics import linear_regression
-from typing import TYPE_CHECKING
 
 from .arith import _sieve_flags, crt_combine, euler_phi, mod_inverse, primes_between
 from .ed2 import ed2_reconstruct, pair_from_divisor
 from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime, SerpError
 from .solution import Solution
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Peak bytes per prime P = 1 (mod 5) while stats runs: primes and totals
 # (int64 each), then the sort key and order of n_of_p_json (int64 each).
@@ -60,40 +56,32 @@ N_OF_P_CHUNK = 1 << 13  # n_of_p members per json piece
 SEGMENT = 1 << 18  # values k of P = 5k + 1 per segment of class rows
 
 
-@dataclass(frozen=True)
-class ProgressionClass:
-    delta: int
-    r: int
-    residue: int
-    modulus: int  # = 5r
+# The class P = residue (mod modulus), modulus = 5r.
+ProgressionClass = namedtuple("ProgressionClass", "delta r residue modulus")
 
 
-@dataclass(frozen=True)
-class ClassScan(ProgressionClass):
-    """Scan result for one progression class."""
+class ClassScan(namedtuple("ClassScan", ProgressionClass._fields + ("primes_found", "first_prime"))):
+    """Scan result for one progression class: its ProgressionClass
+    fields, then its prime count and first prime (None when it has none)."""
 
-    primes_found: int
-    first_prime: int | None
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The class's output row: its fields, and whether it holds no prime."""
-        return {**vars(self), "exceptional": self.primes_found == 0}
+        return {**self._asdict(), "exceptional": self.primes_found == 0}
 
 
-@dataclass(frozen=True, eq=False)  # array fields have no value equality
-class ScanReport:
+class ScanReport(namedtuple("ScanReport", "x R delta primes totals classes")):
     """Aggregate statistics for all admissible r <= R at one (x, delta).
 
-    primes are the primes P <= x with P = 1 (mod 5), ascending, and
-    totals[i] = N(primes[i]; R, delta); everything else is read from them.
+    primes are the primes P <= x with P = 1 (mod 5), ascending, as a
+    numpy array, and totals[i] = N(primes[i]; R, delta); classes are the
+    ClassScan rows.  Everything else is read from them.  Arrays have no
+    value equality, so a report compares and hashes by identity.
     """
 
-    x: int
-    R: int
-    delta: int
-    primes: np.ndarray
-    totals: np.ndarray
-    classes: tuple[ClassScan, ...]
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def prime_count(self) -> int:
@@ -329,7 +317,7 @@ class _ClassRows:
 
     def scans(self) -> tuple[ClassScan, ...]:
         return tuple(
-            ClassScan(**vars(cls), primes_found=n, first_prime=p)
+            ClassScan(*cls, n, p)
             for cls, n, p in zip(self.classes, self.found, self.first)
         )
 

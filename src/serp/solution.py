@@ -1,9 +1,13 @@
 """Canonical solution records for 5/P = 1/A + 1/B + 1/C, exact
-verification and multiplicity classification."""
+verification and multiplicity classification.
+
+Every serp record is an immutable named tuple: it unpacks and indexes
+like a tuple, compares and hashes on its fields, and holds no __dict__.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import ClassificationViolation, InvalidSolution
@@ -17,18 +21,11 @@ class SolutionClass(str, Enum):
     EXPLICIT = "Explicit"
 
 
-@dataclass(frozen=True, slots=True)
-class Solution:
-    """A verified triple with denominators stored in ascending order.
+class Solution(namedtuple("Solution", "P A B C cls strict")):
+    """A verified triple with denominators stored in ascending order;
+    cls is the SolutionClass and strict is A < B < C."""
 
-    Slotted: a scan builds one per prime, so each holds no __dict__."""
-
-    P: int
-    A: int
-    B: int
-    C: int
-    cls: SolutionClass
-    strict: bool
+    __slots__ = ()
 
     def triple(self) -> tuple[int, int, int]:
         return self.A, self.B, self.C
@@ -66,12 +63,9 @@ def make_solution(P: int, A: int, B: int, C: int, cls: SolutionClass) -> Solutio
     return Solution(P, A, B, C, cls, strict=A < B < C)
 
 
-@dataclass(frozen=True)
-class MultiplicityClass:
-    """How many of the denominators P divides, and where."""
-
-    count: int
-    positions: tuple[str, ...]  # subset of ("B", "C"); never "A"
+# How many of the denominators P divides, and where: positions is a
+# subset of ("B", "C"), never "A".
+MultiplicityClass = namedtuple("MultiplicityClass", "count positions")
 
 
 def classify_solution(sol: Solution) -> MultiplicityClass:

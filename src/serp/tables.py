@@ -17,7 +17,7 @@ reported separately, since a row can pass it and still be wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bridge import convolve_ed2_to_ed1
 from .ed2 import Ed2Witness, ed2_normalize, pair_from_divisor
@@ -42,12 +42,8 @@ ROW_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class PaperTable:
-    table_id: str
-    P: int
-    columns: tuple[str, ...]
-    rows: tuple[dict, ...]
+# rows: one dict per printed row, keyed by columns
+PaperTable = namedtuple("PaperTable", "table_id P columns rows")
 
 
 def _full(*values) -> dict:
@@ -113,16 +109,14 @@ TABLES: dict[str, PaperTable] = {
 TABLE_IDS = tuple(sorted(TABLES, key=int))
 
 
-@dataclass(frozen=True)
-class ErrataEntry:
-    table_id: str
-    row: int  # 1-based, as printed
-    printed: dict
-    recomputed: dict | None  # None when no anchor gives a valid row
-    status: str  # "Match" | "Mismatch"
-    mismatched_columns: tuple[str, ...]
-    xy_lemma_ok: bool  # printed X*Y == 5*alpha*P*dprime^2 + 1
-    bridge: dict | None  # forward-conversion outcome for the recomputed row
+class ErrataEntry(namedtuple("ErrataEntry", "table_id row printed recomputed status "
+                                            "mismatched_columns xy_lemma_ok bridge")):
+    """One audited row.  row is 1-based, as printed; recomputed is None
+    when no anchor gives a valid row; status is "Match" or "Mismatch";
+    xy_lemma_ok is whether the printed X*Y == 5*alpha*P*dprime^2 + 1;
+    bridge is the forward-conversion outcome for the recomputed row."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

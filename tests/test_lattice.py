@@ -31,6 +31,11 @@ class TestClassCount:
     def test_shifted(self):
         assert class_count_in_box(SublatticeClass((2, 2), (1, 1)), 101) == 2601
 
+    def test_shift_is_reduced_and_moduli_checked(self):
+        assert SublatticeClass((3, 5), (4, -1)).shift == (1, 4)
+        with pytest.raises(ValueError):
+            SublatticeClass((0, 5), (1, 1))
+
     def test_index_nine(self):
         count = class_count_in_box(SublatticeClass((3, 3), (1, 2)), 10)
         assert count == 12

@@ -283,6 +283,35 @@ def test_cli_import_loads_only_what_it_uses():
     assert proc.returncode == 0, proc.stderr
 
 
+# Records are named tuples from collections, which argparse loads anyway:
+# no serp module may bring in dataclasses, or inspect with it, at import.
+# Under -S no site hook has loaded either before serp does.
+RECORD_IMPORT_SCRIPT = """
+import sys
+
+import serp.cli
+import serp.lattice
+import serp.oracle
+import serp.sieve
+import serp.tables
+
+loaded = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+if loaded:
+    sys.exit(f"loaded by importing serp: {loaded}")
+"""
+
+
+def test_serp_imports_neither_dataclasses_nor_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RECORD_IMPORT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # serp.tables, and through it serp.bridge, loads only where a subcommand
 # writes a published-table layout: table and csv solution rows.  Each
 # argv runs in a fresh process after import serp.cli; the script prints
