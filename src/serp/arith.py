@@ -257,7 +257,7 @@ def _brent_factor(n: int) -> int:
             return g
 
 
-def factorize(n: int, *, trial: bool = True) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Prime factorization of n >= 1, factors in increasing order.
 
     Strips the primes below _TRIAL_LIMIT, then splits what is left with
@@ -269,15 +269,12 @@ def factorize(n: int, *, trial: bool = True) -> Factorization:
     the cofactors its sieve leaves at or above 2**32, and list the
     divisors they need in one residue class with
     Factorization.divisors_in_class; the oracle calls this once per A.
-    trial=False skips the stripping, for a caller that has divided out
-    every prime below _TRIAL_LIMIT already: the sieve's cofactors go
-    straight to rho.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
     counts: dict[int, int] = {}
-    g = gcd(m, _TRIAL_PRODUCT) if trial else 1
+    g = gcd(m, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
         if g == 1:
             break
@@ -378,8 +375,8 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
             if value >= MR_DETERMINISTIC_BOUND:
                 yield factorize(value)
                 continue
-            if rest >= _SIEVE_SQUARE:  # no prime below _SIEVE_LIMIT left to strip
-                factors += factorize(rest, trial=False).factors
+            if rest >= _SIEVE_SQUARE:
+                factors += factorize(rest).factors
             elif rest > 1:
                 factors.append((rest, 1))
             yield Factorization(value, tuple(factors))
