@@ -1,9 +1,9 @@
 """Prime-sieve kernels in numpy.
 
-prime_mask is a read-only full boolean mask; class_primes takes its base
-primes up to sqrt(limit) from it and sieves the members of the residue
-class with arith's progression sieve, one segment of SEGMENT members at
-a time, so memory stays at one segment whatever the scan limit.
+prime_mask is a read-only full boolean mask, one arith._sieve_flags
+segment behind a False for 0; class_primes takes its base primes up to
+sqrt(limit) from it and sieves the residue class with the same sieve,
+one segment of SEGMENT members at a time, so memory stays at one segment.
 """
 
 from __future__ import annotations
@@ -12,22 +12,17 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import _sieve_flags
+from .arith import _SIEVE_SQUARE, _base_primes, _sieve_flags
 
 SEGMENT = 1 << 18  # class members per class_primes segment
 
 
 def prime_mask(limit: int) -> np.ndarray:
-    """Read-only primality mask over [0, limit]."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    mask = np.ones(limit + 1, dtype=np.bool_)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    mask.setflags(write=False)
-    return mask
+    """Read-only primality mask over [0, limit], for 1 <= limit < 2**32."""
+    if not 1 <= limit < _SIEVE_SQUARE:
+        raise ValueError(f"limit must be in [1, 2**32), got {limit}")
+    segment = next(_sieve_flags(1, 1, limit, _base_primes(isqrt(limit)), limit))
+    return np.frombuffer(b"\0" + segment, dtype=np.bool_)  # over bytes: read-only
 
 
 def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:

@@ -4,17 +4,17 @@ split.
 
 is_prime is Miller-Rabin with as many fixed witnesses as are proven
 enough for n; factorize strips the primes below 1000 and splits the
-rest with Brent's rho; primes_between sieves a window by the same
-primes below 1000 and hands only the survivors of at least 1e6 to
-is_prime.  factorize_progression factors every a + m*j: below 1024
-values it calls factorize on each, otherwise it sieves out every prime
-below L = 2**16, takes a cofactor below L**2 as prime and hands a
-larger one to factorize.  Each sieve takes where a prime first divides
-a + m*j from progression_strides; _sieve_flags flags exactly the primes
-once its base primes reach the square root of the last value.  All are
-exact up to ~3.3e24 (the last proven witness bound) and raise
-ValueError for an undecided input past it.  divisors_in_class meets in
-the middle when the modulus is at least 6 and coprime to n.
+rest with Brent's rho.  _base_primes alone picks sieving primes, all
+below L = 2**16, so primes_between asks is_prime only from L**2 on.
+factorize_progression factors every a + m*j: below 1024 values it
+calls factorize on each, otherwise it sieves out every prime below L,
+takes a cofactor below L**2 as prime and hands a larger one to
+factorize.  Each sieve takes where a prime first divides a + m*j from
+progression_strides; _sieve_flags, the one sieve of Eratosthenes, flags
+exactly the primes once its base primes reach the square root of the
+last value.  All are exact up to ~3.3e24 (the last proven witness
+bound) and raise ValueError past it for an undecided input.
+divisors_in_class meets in the middle for a modulus >= 6 coprime to n.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -23,10 +23,11 @@ Everything works on plain Python integers (arbitrary precision) plus
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import InconsistentCongruence, NotInvertible
 
@@ -214,8 +215,7 @@ _SEGMENT = 1 << 16  # integers per primes_between segment
 _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
 
 # factorize_progression strips every prime below _SIEVE_LIMIT, so a
-# cofactor below _SIEVE_SQUARE is prime.  Its base primes are built on
-# the first sieve, never at import.
+# cofactor below _SIEVE_SQUARE is prime; _base_primes sieves them once.
 _SIEVE_LIMIT = 1 << 16
 _SIEVE_SQUARE = _SIEVE_LIMIT * _SIEVE_LIMIT
 _SIEVE_SEGMENT = 512  # values per factorize_progression segment
@@ -299,20 +299,31 @@ def factorize(n: int) -> Factorization:
 def primes_between(lo: int, hi: int) -> Iterator[int]:
     """The primes p with lo <= p <= hi, ascending, as a generator.
 
-    _sieve_flags sieves [lo, hi] by the primes below _TRIAL_LIMIT with
-    p*p <= hi, one segment of _SEGMENT integers at a time.  A survivor
-    has no smaller base prime as a factor, so one below _TRIAL_LIMIT**2
-    is prime and a larger one is asked of is_prime.  Memory stays at one
-    segment whatever the range, and the generator yields each segment's
-    primes before it sieves the next.
+    _sieve_flags sieves [lo, hi] by every prime up to isqrt(hi) below
+    _SIEVE_LIMIT, one segment of _SEGMENT integers at a time.  So a
+    survivor below _SIEVE_SQUARE = 2**32 is prime, and is_prime is asked
+    only at or above 2**32.  Memory stays at one segment whatever the
+    range, and the generator yields each segment's primes before it
+    sieves the next.
     """
     lo = max(lo, 2)
-    base = [p for p in _TRIAL_PRIMES if p * p <= hi]
+    base = _base_primes(min(isqrt(max(hi, 0)), _SIEVE_LIMIT - 1))
     for flags in _sieve_flags(lo, 1, hi - lo + 1, base, _SEGMENT):
         for n in compress(range(lo, lo + len(flags)), flags):
-            if n < _TRIAL_SQUARE or is_prime(n):
+            if n < _SIEVE_SQUARE or is_prime(n):
                 yield n
         lo += len(flags)
+
+
+def _base_primes(k: int) -> Sequence[int]:
+    """Every prime <= k, ascending, for 0 <= k < _SIEVE_LIMIT, sliced from
+    _TRIAL_PRIMES or from the primes below _SIEVE_LIMIT, sieved once."""
+    global _sieve_primes
+    if k < _TRIAL_LIMIT:
+        return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, k)]
+    if _sieve_primes is None:
+        _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
+    return _sieve_primes[: bisect_right(_sieve_primes, k)]
 
 
 def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
@@ -344,17 +355,11 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
 
 
 def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
-    global _sieve_primes
-    if _sieve_primes is None:
-        _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
     # A prime whose first index is at or past n strikes nothing: drop it
     # once, before the first segment.
-    primes, strides, first = array("I"), array("I"), array("I")
-    for p, stride, j in zip(*progression_strides(a, m, _sieve_primes)):
-        if j < n:
-            primes.append(p)
-            strides.append(stride)
-            first.append(j)
+    kept = progression_strides(a, m, _base_primes(_SIEVE_LIMIT - 1))
+    live = [j < n for j in kept[2]]
+    primes, strides, first = (list(compress(column, live)) for column in kept)
     for lo in range(0, n, _SIEVE_SEGMENT):
         values = range(a + m * lo, a + m * min(n, lo + _SIEVE_SEGMENT), m)
         rests = list(values)

@@ -148,7 +148,7 @@ class _DeltaOne:
     of striking 13,107 classes."""
 
     def __init__(self, hi: int):
-        self.hi, self.cap = hi, min(isqrt(5 * hi + 1), _SIEVE_LIMIT - 2)
+        self.hi, self.cap = hi, min(isqrt(5 * max(hi, 0) + 1), _SIEVE_LIMIT - 2)
         self.lo, self.table = 0, array("H")
         self.unpaid = len(range(4, self.cap + 1, 5))  # divisions left before a table
 

@@ -1,4 +1,5 @@
 import random
+from array import array
 from math import gcd, isqrt
 
 import pytest
@@ -179,6 +180,21 @@ class TestPrimesBetween:
             mp.setattr(arith, "_SEGMENT", segment)
             got = list(primes_between(lo, lo + width))
         assert got == primes_by_is_prime(lo, lo + width)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(10**6 - 2000, 10**6 + 2000), (10**9, 10**9 + 4000), (2**32 - 2000, 2**32 + 2000)]
+    )
+    def test_sieves_below_2_32_and_asks_is_prime_above(self, monkeypatch, sympy, lo, hi):
+        asked = []
+
+        def spy(n):
+            asked.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", spy)
+        assert list(primes_between(lo, hi)) == [n for n in range(lo, hi + 1) if sympy.isprime(n)]
+        assert asked if hi >= 2**32 else not asked
+        assert all(n >= 2**32 for n in asked)
 
 
 class TestModInverse:
@@ -394,14 +410,16 @@ class TestFactorizeProgression:
             assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
 
     def test_more_base_primes_than_an_unsigned_short_holds(self, monkeypatch):
-        # 2**20 gives 82,025 base primes, more than 65,535
+        # 2**20 gives 82,025 base primes, more than 65,535.  They are sieved
+        # here: _base_primes sieves its own only while isqrt(L) < 1000.
+        primes = array("I", primes_between(2, 2**20 - 1))
         monkeypatch.setattr(arith, "_SIEVE_LIMIT", 2**20)
         monkeypatch.setattr(arith, "_SIEVE_SQUARE", 2**40)
-        monkeypatch.setattr(arith, "_sieve_primes", None)
+        monkeypatch.setattr(arith, "_sieve_primes", primes)
         a, m = 5 * 1_000_000_021 + 1, 5 * 1_000_000_021  # ED2's N(delta)
         n = arith._SIEVE_MIN_LENGTH + 100
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
-        assert len(arith._sieve_primes) > 65_535
+        assert len(arith._base_primes(2**20 - 1)) > 65_535
 
     def test_values_past_primality_bound_go_whole_to_factorize(self, monkeypatch):
         monkeypatch.setattr(arith, "_SIEVE_MIN_LENGTH", 0)

@@ -268,6 +268,13 @@ class TestScan:
         assert recs[0]["P"] == 3
         assert [r["P"] for r in recs] == [p for p in range(3, 101) if is_prime(p) and p != 5]
 
+    @pytest.mark.parametrize("to", ["-1", "-5"])
+    def test_window_below_two_runs_like_to_zero(self, to, capsys):
+        # the delta = 1 table once took isqrt(5*to + 1) and exited 2 here
+        empty = run_cli("scan", "--from", "-10", "--to", "0")
+        assert run_cli("scan", "--from", "-10", "--to", to) == empty == (0, "")
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("method", ["auto", "explicit", "ed1", "ed2"])
     def test_scan_covers_exactly_what_decompose_accepts(self, method, capsys):
         # one scope rule: a one-prime scan writes decompose's rows, writes

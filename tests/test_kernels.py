@@ -22,6 +22,13 @@ def test_mask_is_readonly():
         a[0] = True
 
 
+def test_mask_refuses_limits_its_base_primes_cannot_sieve():
+    # the base primes stop below 2**16, which proves a mask only below 2**32
+    for limit in (0, 2**32):
+        with pytest.raises(ValueError, match="limit must be"):
+            prime_mask(limit)
+
+
 class TestClassPrimes:
     def test_small_class(self):
         assert list(class_primes(11, 20, 100)) == [11, 31, 71]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,20 @@ def test_solutions_verify_and_classify_up_to_1000(oracle, primes_up_to):
             assert mult.count in (1, 2)
             assert (mult.count == 2) == (sol.cls is SolutionClass.ED2)
             assert lo <= sol.A <= hi
+
+
+def test_oracle_matches_the_benchmark_enumeration_up_to_1000(oracle, primes_up_to, monkeypatch):
+    # perfbench/check.py factors A and lists the divisors of d**2 with no
+    # serp code, so a divisor that factorize or divisors_in_class drops
+    # from the engines and the oracle alike shows here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import check
+
+    for P in primes_up_to(1000):
+        if P >= 7:
+            triples = [sol.triple() for sol in oracle(P).solutions]
+            assert len(set(triples)) == len(triples)
+            assert set(triples) == check.enumerate_solutions(P), P
 
 
 def test_engine_equality_at_spot_primes(oracle):
