@@ -12,17 +12,20 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import _SIEVE_SQUARE, _base_primes, _sieve_flags
+from .arith import _base_primes, _sieve_flags
 
 SEGMENT = 1 << 18  # class members per class_primes segment
 
 
 def prime_mask(limit: int) -> np.ndarray:
     """Read-only primality mask over [0, limit], for 1 <= limit < 2**32."""
-    if not 1 <= limit < _SIEVE_SQUARE:
-        raise ValueError(f"limit must be in [1, 2**32), got {limit}")
-    segment = next(_sieve_flags(1, 1, limit, _base_primes(isqrt(limit)), limit))
-    return np.frombuffer(b"\0" + segment, dtype=np.bool_)  # over bytes: read-only
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    flags = next(_sieve_flags(1, 1, limit, _base_primes(isqrt(limit)), limit))
+    flags[0:0] = b"\0"  # 0 is not prime
+    mask = np.frombuffer(flags, dtype=np.bool_)
+    mask.setflags(write=False)
+    return mask
 
 
 def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:

@@ -316,13 +316,18 @@ def primes_between(lo: int, hi: int) -> Iterator[int]:
 
 
 def _base_primes(k: int) -> Sequence[int]:
-    """Every prime <= k, ascending, for 0 <= k < _SIEVE_LIMIT, sliced from
-    _TRIAL_PRIMES or from the primes below _SIEVE_LIMIT, sieved once."""
+    """Every prime <= k < _SIEVE_LIMIT, ascending: a slice of _TRIAL_PRIMES
+    or of the primes below _SIEVE_LIMIT, sieved once on first use."""
     global _sieve_primes
+    if k >= _SIEVE_LIMIT:
+        raise ValueError(f"base primes stop below {_SIEVE_LIMIT}, got k = {k}")
     if k < _TRIAL_LIMIT:
         return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, k)]
     if _sieve_primes is None:
-        _sieve_primes = array("I", primes_between(2, _SIEVE_LIMIT - 1))
+        # sieved by primes < 1000 while L < 10**12, so never by this cache
+        small = list(primes_between(2, isqrt(_SIEVE_LIMIT - 1)))
+        flags = next(_sieve_flags(2, 1, _SIEVE_LIMIT - 2, small, _SIEVE_LIMIT))
+        _sieve_primes = array("I", compress(range(2, _SIEVE_LIMIT), flags))
     return _sieve_primes[: bisect_right(_sieve_primes, k)]
 
 
@@ -357,9 +362,12 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
 def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
     # A prime whose first index is at or past n strikes nothing: drop it
     # once, before the first segment.
-    kept = progression_strides(a, m, _base_primes(_SIEVE_LIMIT - 1))
-    live = [j < n for j in kept[2]]
-    primes, strides, first = (list(compress(column, live)) for column in kept)
+    primes, strides, first = array("I"), array("I"), array("I")
+    for p, stride, j in zip(*progression_strides(a, m, _base_primes(_SIEVE_LIMIT - 1))):
+        if j < n:
+            primes.append(p)
+            strides.append(stride)
+            first.append(j)
     for lo in range(0, n, _SIEVE_SEGMENT):
         values = range(a + m * lo, a + m * min(n, lo + _SIEVE_SEGMENT), m)
         rests = list(values)

@@ -1,5 +1,4 @@
 import random
-from array import array
 from math import gcd, isqrt
 
 import pytest
@@ -410,16 +409,16 @@ class TestFactorizeProgression:
             assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
 
     def test_more_base_primes_than_an_unsigned_short_holds(self, monkeypatch):
-        # 2**20 gives 82,025 base primes, more than 65,535.  They are sieved
-        # here: _base_primes sieves its own only while isqrt(L) < 1000.
-        primes = array("I", primes_between(2, 2**20 - 1))
+        # 2**20 gives 82,025 base primes, more than 65,535; and isqrt(L) >=
+        # 1000, so the cache is sieved by primes sliced from itself unless
+        # it is built in two levels
         monkeypatch.setattr(arith, "_SIEVE_LIMIT", 2**20)
         monkeypatch.setattr(arith, "_SIEVE_SQUARE", 2**40)
-        monkeypatch.setattr(arith, "_sieve_primes", primes)
+        monkeypatch.setattr(arith, "_sieve_primes", None)
         a, m = 5 * 1_000_000_021 + 1, 5 * 1_000_000_021  # ED2's N(delta)
         n = arith._SIEVE_MIN_LENGTH + 100
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
-        assert len(arith._base_primes(2**20 - 1)) > 65_535
+        assert len(arith._sieve_primes) > 65_535
 
     def test_values_past_primality_bound_go_whole_to_factorize(self, monkeypatch):
         monkeypatch.setattr(arith, "_SIEVE_MIN_LENGTH", 0)
