@@ -23,7 +23,7 @@ Everything works on plain Python integers (arbitrary precision) plus
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress
@@ -135,9 +135,10 @@ def _divisors_upto(factors, upto: int) -> list[int]:
 
 # Below this modulus at most four residue classes are coprime to it, so
 # the filter keeps at least a quarter of what it builds and meeting in
-# the middle saves little.  ED2 lists mod 5 once per first-hit step of a
-# scan, mostly for N with 4 to 16 divisors, where it cost more than it
-# saved.
+# the middle saves little.  ED2 lists mod 5 at delta = 1 once per
+# first-hit step of a scan, mostly for N with 4 to 16 divisors, where
+# it cost more than it saved; its other moduli, 5*rad(delta), are 10
+# or more.
 _MEET_MIN_MODULUS = 6
 
 
@@ -264,10 +265,10 @@ def factorize(n: int) -> Factorization:
     Brent's rho until every part is prime.  is_prime is asked only about
     parts of at least _TRIAL_LIMIT**2; smaller ones have no factor left
     to find.  A part past the deterministic primality range (~3.3e24)
-    raises ValueError.  The engines factor a whole parameter range with
+    raises ValueError.  The engines factor a parameter range with
     factorize_progression, which calls this for short ranges and for
-    the cofactors its sieve leaves at or above 2**32, and list the
-    divisors they need in one residue class with
+    the cofactors its sieve leaves at or above 2**32 (ED2 only the N it
+    cannot divide cheaply), and list divisors in one residue class with
     Factorization.divisors_in_class; the oracle calls this once per A.
     """
     if n < 1:
@@ -419,20 +420,21 @@ def _sieve_flags(
 ) -> Iterator[bytearray]:
     """Segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) over
     a + m*j, j < n, a and m >= 1: per segment, a bytearray that is 0
-    where the value is 1 or a prime in primes divides it, the prime
-    itself excepted.  So the flags are exactly the primes when primes
+    where the value is 1 or a prime in primes (ascending) divides it,
+    the prime itself excepted.  So the flags are exactly the primes when primes
     holds every prime up to the square root of the last value."""
-    strikes = [
-        (s, j + s if a + m * j == p else j)  # a base prime strikes from its next value
-        for p, s, j in zip(*progression_strides(a, m, primes))
-    ]
+    kept, strides, starts = progression_strides(a, m, primes)
+    # a base prime strikes from its next value; only one >= a can be a value
+    for i in range(bisect_left(kept, a), len(kept)):
+        if a + m * starts[i] == kept[i]:
+            starts[i] += strides[i]
     zeros = memoryview(bytes(min(segment, max(n, 0))))
     for lo in range(0, n, segment):
         size = min(segment, n - lo)
         flags = bytearray(b"\x01") * size
         if lo == 0 and a == 1:
             flags[0] = 0
-        for stride, j in strikes:
+        for stride, j in zip(strides, starts):
             # not (j - lo) % stride alone: a shifted start can lie a stride past lo
             offset = j - lo if j >= lo else (j - lo) % stride
             flags[offset::stride] = zeros[: len(range(offset, size, stride))]

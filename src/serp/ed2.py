@@ -5,11 +5,17 @@ Every such solution satisfies the kernel identity
     (5b - 1)(5c - 1) = 5*P*delta + 1,   delta | b*c,   A = b*c/delta,
 
 so the search runs over delta and divisor pairs r*s = 5*P*delta + 1 with
-r = s = 4 (mod 5): N = 5*P*delta + 1, a progression in delta, is
-factored by one sieve over the delta range, its divisors
-r = 4 (mod 5) up to sqrt(N) are listed, and pair_from_divisor, the only
+r = s = 4 (mod 5).  Only r = -1 (mod 5*rad(delta)) can pass delta | b*c
+(see _witnesses_for_delta), so just that class of divisors of
+N = 5*P*delta + 1 up to sqrt(N) is listed: by dividing N by each member
+where the class has at most _SPARSE_MAX of them, else from the
+factorization of N, by one sieve over the progression N(delta) when at
+least _SIEVE_MIN_LENGTH deltas of a segment need one.  rad(delta) comes
+from one small sieve over the delta range, or for one delta from one
+gcd with the product of the trial primes.  pair_from_divisor, the only
 code that turns a divisor into a witness, rebuilds b = (r+1)/5 and
-c = (s+1)/5.  The normalized
+c = (s+1)/5 and still checks delta | b*c, which the class implies for
+squarefree delta only.  The normalized
 coordinates split b = g*b', c = g*c' with gcd(b', c') = 1 and
 delta = alpha * dprime**2 (alpha squarefree); a row is canonical when
 g = alpha*dprime, b' + c' = m*dprime and A = alpha*b'*c', where
@@ -28,7 +34,8 @@ ed2_search(P, 1, 1)'s first witness; no r while the cap reaches
 isqrt(5P + 1) means delta = 1 has no witness; only no r under a cap
 below isqrt(5P + 1) (P past about 8.6e8) leaves delta = 1 to the
 search.  Memory stays at one segment of the window, and a rest of the
-window narrower than its classes is answered by division instead.
+window narrower than its classes is answered by division instead, as
+a sparse class of the search is.
 """
 
 from __future__ import annotations
@@ -36,9 +43,23 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from math import gcd, isqrt
+from collections.abc import Iterator
+from itertools import compress
+from math import gcd, isqrt, prod
 
-from .arith import _SEGMENT, _SIEVE_LIMIT, Factorization, factorize_progression, squarefree_split
+from .arith import (
+    _SEGMENT,
+    _SIEVE_LIMIT,
+    _SIEVE_MIN_LENGTH,
+    _SIEVE_SQUARE,
+    _TRIAL_PRODUCT,
+    _TRIAL_SQUARE,
+    Factorization,
+    _base_primes,
+    factorize,
+    factorize_progression,
+    squarefree_split,
+)
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -62,6 +83,12 @@ class Ed2Witness(namedtuple("Ed2Witness", "P delta b c r s A")):
 NormalizedEd2 = namedtuple("NormalizedEd2", "g bprime cprime alpha dprime m canonical")
 
 
+# A class with at most this many members up to isqrt(N) is divided into
+# N member by member.  A division costs about 40 ns and factorize(N)
+# 8 us or more, so dividing costs at most about one factorization.
+_SPARSE_MAX = 200
+
+
 def default_delta_max(P: int) -> int:
     """Tunable search bound ceil(log(P)^3); not a completeness claim."""
     return math.ceil(math.log(P) ** 3)
@@ -74,24 +101,110 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
     b = c are rejected (they repeat a denominator).  The kernel needs
     nothing from P beyond 5 not dividing it, so any such prime is
     accepted; P = 1 (mod 5) is merely the class with no closed form.
+    A range is searched _SEGMENT deltas at a time, so memory stays flat
+    however wide it is; one delta, as each step of a first-hit search,
+    sets up no segment.
     """
     if P % 5 == 0:
         raise WrongResidue(f"ED2 search needs 5 to not divide P, got P = {P}")
-    delta = max(delta_min, 1)
+    lo = max(delta_min, 1)
+    if lo == delta_max:
+        N, rad = 5 * P * lo + 1, _radical(lo)
+        return _witnesses_for_delta(P, lo, factorize(N) if _is_dense(N, rad) else None, rad)
     out = []
-    for fN in factorize_progression(5 * P * delta + 1, 5 * P, delta_max - delta + 1):
-        out.extend(_witnesses_for_delta(P, delta, fN))
-        delta += 1
+    for lo in range(lo, delta_max + 1, _SEGMENT):
+        out += _segment_witnesses(P, lo, _radicals(lo, min(_SEGMENT, delta_max + 1 - lo)))
     return out
 
 
-def _witnesses_for_delta(P: int, delta: int, fN: Factorization) -> list[Ed2Witness]:
-    """The witnesses at delta, given the factorization fN of 5*P*delta + 1."""
+def _radical(d: int) -> int:
+    """rad(d), the product of the primes dividing d >= 1: one gcd with
+    the product of the primes below _TRIAL_LIMIT gives those that
+    divide d, and what is left of d below _TRIAL_LIMIT**2 is 1 or prime."""
+    g = gcd(d, _TRIAL_PRODUCT)
+    rest = d // g
+    while (h := gcd(rest, g)) > 1:
+        rest //= h
+    return g * (rest if rest < _TRIAL_SQUARE else prod(p for p, _ in factorize(rest).factors))
+
+
+def _radicals(lo: int, n: int) -> list[int]:
+    """rad(d) for d in [lo, lo + n), lo >= 1, by one sieve with the
+    primes up to isqrt(lo + n - 1) (below _SIEVE_LIMIT): what is left of
+    d below _SIEVE_SQUARE is 1 or prime."""
+    rads, rests = [1] * n, list(range(lo, lo + n))
+    for p in _base_primes(min(isqrt(lo + n - 1), _SIEVE_LIMIT - 1)):
+        for i in range(-lo % p, n, p):
+            rads[i] *= p
+            q = rests[i] // p
+            while q % p == 0:
+                q //= p
+            rests[i] = q
+    for i, q in enumerate(rests):
+        if q > 1:
+            rads[i] *= q if q < _SIEVE_SQUARE else _radical(q)
+    return rads
+
+
+def _is_dense(N: int, rad: int) -> bool:
+    """Whether the class -1 (mod 5*rad) has more than _SPARSE_MAX members
+    up to isqrt(N), so that its divisors of N are listed from a
+    factorization of N rather than by division."""
+    return isqrt(N) // (5 * rad) > _SPARSE_MAX
+
+
+def _segment_witnesses(P: int, lo: int, rads: list[int]) -> list[Ed2Witness]:
+    """The witnesses at delta = lo + i, given rads[i] = rad(delta)."""
+    step = 5 * P
+    deltas = range(lo, lo + len(rads))
+    dense = [_is_dense(step * delta + 1, rad) for delta, rad in zip(deltas, rads)]
+    fNs = _dense_factorizations(step, deltas, dense)
+    out = []
+    for delta, rad, is_dense in zip(deltas, rads, dense):
+        out += _witnesses_for_delta(P, delta, next(fNs) if is_dense else None, rad)
+    return out
+
+
+def _dense_factorizations(step: int, deltas: range, dense: list[bool]) -> Iterator[Factorization]:
+    """factorize(step*delta + 1) for each delta of deltas marked dense,
+    in order: one factorize_progression over the span from the first
+    such delta to the last when there are at least _SIEVE_MIN_LENGTH of
+    them, else one factorize each."""
+    if dense.count(True) < _SIEVE_MIN_LENGTH:
+        return map(factorize, [step * delta + 1 for delta in compress(deltas, dense)])
+    i = dense.index(True)
+    j = len(dense) - dense[::-1].index(True)
+    return compress(factorize_progression(step * deltas[i] + 1, step, j - i), dense[i:j])
+
+
+def _witnesses_for_delta(
+    P: int, delta: int, fN: Factorization | None, rad: int
+) -> list[Ed2Witness]:
+    """The witnesses at delta, given rad = rad(delta).
+
+    Only r = -1 (mod M), M = 5*rad, can pass delta | b*c: a prime q
+    dividing delta divides N - 1 = r*s - 1, N = 5*P*delta + 1, so q
+    divides b = (r + 1)/5 exactly when r = -1 (mod q), exactly when
+    s = -1 (mod q), that is, when q divides c (for q = 5, read mod 25).
+    The class's divisors of N up to isqrt(N) are listed from fN, the
+    factorization of N, or, when fN is None, by dividing N by each
+    member of the class.
+    """
     N = 5 * P * delta + 1
-    if fN.n != N:
+    M, root = 5 * rad, isqrt(N)
+    if fN is None:
+        rs = _class_divisors(N, M, root)
+    elif fN.n == N:
+        rs = fN.divisors_in_class(M - 1, M, root)
+    else:
         raise KernelViolation(f"factorization of {fN.n} given for N = {N}")
-    rs = fN.divisors_in_class(4, 5, isqrt(N))
     return [w for r in rs if (w := pair_from_divisor(P, delta, r)) is not None]
+
+
+def _class_divisors(N: int, M: int, upto: int) -> Iterator[int]:
+    """The divisors r = -1 (mod M), r <= upto, of N, ascending, found by
+    dividing N by each member of the class in turn."""
+    return (r for r in range(M - 1, upto + 1, M) if N % r == 0)
 
 
 def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
@@ -159,10 +272,9 @@ class _DeltaOne:
         n = min(_SEGMENT, self.hi - P + 1)
         if n < self.unpaid:
             # the least such r never exceeds isqrt(5P + 1): see _delta_one_table
-            N = 5 * P + 1
-            rs = range(4, min(self.cap, isqrt(N)) + 1, 5)
-            r = next((r for r in rs if N % r == 0), 0)
-            self.unpaid -= (r + 1) // 5 if r else len(rs)
+            upto = min(self.cap, isqrt(5 * P + 1))
+            r = next(_class_divisors(5 * P + 1, 5, upto), 0)
+            self.unpaid -= ((r or upto) + 1) // 5  # the classes divided
             return r
         self.lo, self.table = P, array("H")  # never hold two tables at once
         self.table = _delta_one_table(P, n, self.cap)

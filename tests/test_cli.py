@@ -2,6 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -186,6 +190,34 @@ class TestDecompose:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.DECOMPOSE_ALL_SHA256[P, fmt]
+
+    def test_wide_delta_range_runs_in_flat_memory(self):
+        # ED2 walks the delta range one segment at a time: a search that
+        # built per-delta lists over 10**12 deltas would die of
+        # MemoryError under this address-space limit, set in the child only
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        src = str(Path(cli_mod.__file__).parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "serp.cli", "decompose", "11", "--all",
+             "--delta-max", "1000000000000"],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            preexec_fn=limit_memory,
+        )
+        try:
+            _, err = proc.communicate(timeout=3)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            return
+        pytest.fail(f"exited {proc.returncode} within 3 s: {err}")
 
 
 class TestVerify:

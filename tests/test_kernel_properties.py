@@ -3,7 +3,10 @@
 Both engines list divisors through Factorization.divisors_in_class and
 turn an ED2 divisor into a witness only through pair_from_divisor.
 Each property compares them with a brute-force reference that shares
-no code with them.
+no code with them.  ed2_search lists only r = -1 (mod 5*rad(delta)),
+by division where that class is sparse below sqrt(N) and from the
+factorization of N where it is dense; the properties below hold it to
+trial division over every r = 4 (mod 5).
 """
 
 from math import gcd, isqrt
@@ -12,13 +15,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from serp.arith import factorize, is_prime
+import serp.ed2 as ed2_mod
+from serp.arith import _SIEVE_MIN_LENGTH, factorize, is_prime
 from serp.ed1 import Ed1Witness, _witnesses_for_candidate
 from serp.ed2 import (
+    _SPARSE_MAX,
     Ed2Witness,
     _witnesses_for_delta,
     ed2_case_a,
     ed2_reconstruct,
+    ed2_search,
     pair_from_divisor,
 )
 from serp.errors import DeltaFilterFailed
@@ -44,6 +50,23 @@ def trial_division_witnesses(P, delta):
             continue
         found.append(Ed2Witness(P, delta, b, c, r, s, b * c // delta))
     return found
+
+
+def rad(d):
+    """The product of the primes dividing d >= 1, by trial division."""
+    out, p = 1, 2
+    while p * p <= d:
+        if d % p == 0:
+            out *= p
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out * d if d > 1 else out
+
+
+def is_dense(P, delta):
+    """Whether ed2_search lists delta's class from a factorization of N."""
+    return isqrt(5 * P * delta + 1) // (5 * rad(delta)) > _SPARSE_MAX
 
 
 def brute_ed1_witnesses(P, gamma, c):
@@ -91,8 +114,59 @@ def test_divisors_in_class_of_a_square(c, modulus, data):
 @given(P=st.integers(1, 10**5), delta=st.integers(1, 400))
 def test_ed2_witnesses_match_trial_division(P, delta):
     assume(P % 5)
+    expected = trial_division_witnesses(P, delta)
     fN = factorize(5 * P * delta + 1)
-    assert _witnesses_for_delta(P, delta, fN) == trial_division_witnesses(P, delta)
+    assert _witnesses_for_delta(P, delta, fN, rad(delta)) == expected
+    # fN = None lists the same class by division
+    assert _witnesses_for_delta(P, delta, None, rad(delta)) == expected
+
+
+@PROPS
+@given(P=st.integers(1, 10**5), delta=st.integers(1, 489))
+def test_ed2_witnesses_lie_in_the_class_minus_one_mod_5_rad_delta(P, delta):
+    # a prime q | delta divides b exactly when it divides c, so delta | bc
+    # needs r = s = -1 (mod q) for each; 12 deltas a draw, since most
+    # single (P, delta) have no witness
+    assume(P % 5)
+    for d in range(delta, delta + 12):
+        M = 5 * rad(d)
+        assert all((w.r + 1) % M == 0 == (w.s + 1) % M for w in trial_division_witnesses(P, d))
+
+
+@PROPS
+@given(P=st.integers(2 * 10**5, 3 * 10**6), lo=st.integers(1, 8), width=st.integers(0, 40))
+def test_ed2_search_is_trial_division_over_a_range(P, lo, width):
+    # delta = 1 is dense from P = 2e5 on, and a delta with a large
+    # radical sparse, so most ranges mix both listings
+    assume(P % 5)
+    expected = [w for d in range(lo, lo + width + 1) for w in trial_division_witnesses(P, d)]
+    assert ed2_search(P, lo + width, lo) == expected
+
+
+def test_ed2_search_mixes_sparse_and_dense_classes():
+    P, hi = 1009901, 60
+    assert {is_dense(P, d) for d in range(1, hi + 1)} == {False, True}
+    expected = [w for d in range(1, hi + 1) for w in trial_division_witnesses(P, d)]
+    assert ed2_search(P, hi) == expected
+
+
+def test_ed2_search_sieves_when_enough_classes_are_dense(monkeypatch):
+    # 1,187 of these 1,500 deltas are dense: their N are factored by one
+    # sieve over the progression, the rest divided
+    P, hi = 200000033, 1500
+    assert sum(is_dense(P, d) for d in range(1, hi + 1)) >= _SIEVE_MIN_LENGTH
+    sieved = []
+    progression = ed2_mod.factorize_progression
+    monkeypatch.setattr(
+        ed2_mod, "factorize_progression", lambda a, m, n: sieved.append(n) or progression(a, m, n)
+    )
+    expected = [
+        w
+        for d in range(1, hi + 1)
+        for w in _witnesses_for_delta(P, d, factorize(5 * P * d + 1), rad(d))
+    ]
+    assert ed2_search(P, hi) == expected
+    assert len(sieved) == 1 and sieved[0] >= _SIEVE_MIN_LENGTH
 
 
 @PROPS

@@ -1,4 +1,5 @@
 import json
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -200,9 +201,10 @@ def test_engine_equality_at_spot_primes(oracle):
             if sol.cls is SolutionClass.ED2:
                 b, c = sol.B // P, sol.C // P
                 delta = b * c // sol.A
+                rad = prod(p for p, _ in factorize(delta).factors)
                 hits = [
                     w
-                    for w in _witnesses_for_delta(P, delta, factorize(5 * P * delta + 1))
+                    for w in _witnesses_for_delta(P, delta, factorize(5 * P * delta + 1), rad)
                     if (w.b, w.c) == (b, c)
                 ]
             else:
