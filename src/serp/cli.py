@@ -14,20 +14,15 @@ solution's line comes from one fixed-schema f-string in
 _emit_solutions, since a scan writes one per prime.  The stats record
 is written by _emit_streaming with its per-prime n_of_p object in pieces,
 as the sieve formats them, so that object is never held whole.
-Modules load with the subcommand that runs them: numpy with json and
-table stats alone (sieve and csv stats count class rows from a bytearray
+Modules load with the subcommand that runs them: numpy with json stats
+alone (sieve, and csv and table stats, count class rows from a bytearray
 sieve), serp.tables and serp.bridge with table and csv solution rows
 alone.  scan takes the first ED2 step, delta = 1, of every prime from
-one table per segment of its window (ed2._DeltaOne): the primes P for
-which an r = 4 (mod 5) divides 5P + 1 form the class
-P = -(r + 1)/5 (mod r), so each entry, the least such r up to
-min(isqrt(5*to + 1), 65534), is found without factoring 5P + 1; a rest
-of the window narrower than its classes divides 5P + 1 by them
-instead.  Only past that cap does an empty entry fall back to the
-search at delta = 1.
+ed2._DeltaOne.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
-verify); 2 usage error; 3 internal invariant violation.
+verify); 2 usage error; 3 internal invariant violation; 141 (128 +
+SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -247,16 +242,7 @@ def cmd_verify(args, out) -> int:
 def cmd_scan(args, out) -> int:
     """decompose's first hit for every prime in [--from, --to], each
     record written as it is found, and the misses on stderr at the end.
-
-    Where ED2 runs, its delta = 1 step reads the least r = 4 (mod 5)
-    dividing 5P + 1 from a table of the window's segment: with
-    b = (r + 1)/5, r divides 5P + 1 exactly when P = -b (mod r).  The
-    table holds r up to min(isqrt(5*to + 1), 65534), one array('H') of
-    at most 2**16 entries at a time.  An entry r gives the first witness
-    (r <= isqrt(5P + 1), as its cofactor is = 4 (mod 5) too); no entry
-    starts the search at delta = 2, or at delta = 1 when the cap is below
-    isqrt(5P + 1).  The records are those of decompose.
-    """
+    Where ED2 runs, ed2._DeltaOne answers its delta = 1 step."""
     if args.to < getattr(args, "from"):
         raise SerpError("--to must be >= --from")
     if args.to >= MR_DETERMINISTIC_BOUND:
@@ -289,7 +275,7 @@ def cmd_sieve(args, out) -> int:
     from .sieve import class_scans, reconstruct_from_class
 
     rows = []
-    for c in class_scans(args.xmax, args.rmax, args.delta):
+    for c in class_scans(args.xmax, args.rmax, args.delta).classes:
         row = c.as_dict()
         row["first_solution"] = None
         if c.first_prime is not None:
@@ -321,21 +307,20 @@ def cmd_stats(args, out) -> int:
     from .sieve import average_local_params, check_working_set, class_scans, phi_sum
 
     fmt = _pick_format(args)
-    if fmt == "csv":  # the class rows alone, from class_scans: no numpy
-        rows = class_scans(args.x, args.rmax, args.delta)
-        _emit([c.as_dict() for c in rows], CSV_FIELDS, fmt, out)
+    if fmt != "csv":  # json and table write phi_sum: refuse one they cannot, before sieving
+        check_working_set(args.x, args.rmax)
+        try:
+            str(phi_sum(args.rmax, args.delta))
+        except ValueError:  # a numerator or denominator past the int-to-str limit
+            raise SerpError(
+                f"phi_sum at R = {args.rmax} has more than {sys.get_int_max_str_digits()} "
+                "digits, too many to write; lower --rmax, or use --format csv, which omits it"
+            ) from None
+    if fmt == "json":  # the one format that writes n_of_p; average_local_params loads numpy
+        report = _one_openblas_thread(average_local_params, args.x, args.rmax, args.delta)
+        _emit_streaming(report.as_dict(), "n_of_p", report.n_of_p_json(), out)
         return 0
-    # json and table write phi_sum: refuse one they cannot, before sieving
-    check_working_set(args.x, args.rmax)
-    try:
-        str(phi_sum(args.rmax, args.delta))
-    except ValueError:  # a numerator or denominator past the int-to-str limit
-        raise SerpError(
-            f"phi_sum at R = {args.rmax} has more than {sys.get_int_max_str_digits()} "
-            "digits, too many to write; lower --rmax, or use --format csv, which omits it"
-        ) from None
-    # average_local_params loads numpy
-    report = _one_openblas_thread(average_local_params, args.x, args.rmax, args.delta)
+    report = class_scans(args.x, args.rmax, args.delta)
     if fmt == "table":
         avg = "undefined (no primes)" if report.average is None else str(report.average)
         out.write(f"x = {report.x}  R = {report.R}  delta = {report.delta}\n")
@@ -343,10 +328,7 @@ def cmd_stats(args, out) -> int:
         out.write(f"mean N(P; R, delta): {avg}\n")
         out.write(f"sum 1/phi(5r): {report.phi_sum}\n")
         out.write(f"exceptional r: {list(report.exceptional)}\n")
-    if fmt == "json":
-        _emit_streaming(report.as_dict(), "n_of_p", report.n_of_p_json(), out)
-    else:  # one row per class; n_of_p is never written
-        _emit([c.as_dict() for c in report.classes], CSV_FIELDS, fmt, out)
+    _emit([c.as_dict() for c in report.classes], CSV_FIELDS, fmt, out)
     return 0
 
 
@@ -483,6 +465,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (SerpError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
+    except BrokenPipeError:  # the reader closed stdout, as `serp scan ... | head` does
+        if stream is sys.stdout:  # so that the flush at exit finds no pipe to break
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

@@ -33,9 +33,7 @@ isqrt(5P + 1).  _DeltaOne reads P's entry: an r is
 ed2_search(P, 1, 1)'s first witness; no r while the cap reaches
 isqrt(5P + 1) means delta = 1 has no witness; only no r under a cap
 below isqrt(5P + 1) (P past about 8.6e8) leaves delta = 1 to the
-search.  Memory stays at one segment of the window, and a rest of the
-window narrower than its classes is answered by division instead, as
-a sparse class of the search is.
+search.  Memory stays at one segment of the window.
 """
 
 from __future__ import annotations
@@ -193,18 +191,12 @@ def _witnesses_for_delta(
     N = 5 * P * delta + 1
     M, root = 5 * rad, isqrt(N)
     if fN is None:
-        rs = _class_divisors(N, M, root)
+        rs = (r for r in range(M - 1, root + 1, M) if N % r == 0)
     elif fN.n == N:
         rs = fN.divisors_in_class(M - 1, M, root)
     else:
         raise KernelViolation(f"factorization of {fN.n} given for N = {N}")
     return [w for r in rs if (w := pair_from_divisor(P, delta, r)) is not None]
-
-
-def _class_divisors(N: int, M: int, upto: int) -> Iterator[int]:
-    """The divisors r = -1 (mod M), r <= upto, of N, ascending, found by
-    dividing N by each member of the class in turn."""
-    return (r for r in range(M - 1, upto + 1, M) if N % r == 0)
 
 
 def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
@@ -248,36 +240,18 @@ class _DeltaOne:
     """ED2 at delta = 1 for the primes of a window that ends at hi, read
     from one _delta_one_table of at most _SEGMENT integers at a time.  A
     prime the current table does not cover starts the next one, so
-    primes asked in ascending order build each table once.
-
-    A table costs one step per class r = 4 (mod 5), r <= cap, however
-    few integers it covers.  So while the rest of the window holds fewer
-    integers than the classes not yet paid for, a prime's entry is found
-    by dividing 5P + 1 by the classes in ascending order instead, each
-    division paid from the class count; when the rest outnumbers what is
-    left, the rest gets its table.  A window thus makes at most twice
-    as many divisions as it has classes, and a narrow window past
-    P = 8.6e8, whose primes mostly hit a small r, makes a handful instead
-    of striking 13,107 classes."""
+    primes asked in ascending order build each table once."""
 
     def __init__(self, hi: int):
         self.hi, self.cap = hi, min(isqrt(5 * max(hi, 0) + 1), _SIEVE_LIMIT - 2)
         self.lo, self.table = 0, array("H")
-        self.unpaid = len(range(4, self.cap + 1, 5))  # divisions left before a table
 
     def least_r(self, P: int) -> int:
         """P's entry of _delta_one_table(P, 1, self.cap)."""
         if 0 <= P - self.lo < len(self.table):
             return self.table[P - self.lo]
-        n = min(_SEGMENT, self.hi - P + 1)
-        if n < self.unpaid:
-            # the least such r never exceeds isqrt(5P + 1): see _delta_one_table
-            upto = min(self.cap, isqrt(5 * P + 1))
-            r = next(_class_divisors(5 * P + 1, 5, upto), 0)
-            self.unpaid -= ((r or upto) + 1) // 5  # the classes divided
-            return r
         self.lo, self.table = P, array("H")  # never hold two tables at once
-        self.table = _delta_one_table(P, n, self.cap)
+        self.table = _delta_one_table(P, min(_SEGMENT, self.hi - P + 1), self.cap)
         return self.table[0]
 
     def first(self, P: int) -> tuple[Ed2Witness | None, int]:

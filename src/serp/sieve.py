@@ -16,17 +16,19 @@ P = 1 (mod 5), the sum of 1/phi(5r), and the exceptional moduli whose
 class contains no prime <= x.  Every class is a subset of the primes
 P = 5k + 1, and _ClassRows, the one rule of class rows, reads each
 class's count and first member from a segment of flags over k at the
-class's stride.  class_scans, the entry of sieve, takes exact prime
-flags from arith's sieve, with no numpy and no flags kept past their
-segment.  average_local_params, the entry of stats, sieves once: it
-lists the primes P = 5k + 1 <= x with _kernels.class_primes, sets
-each segment's flags from them, and adds each class into one small
-array of hits at its stride, which gives N(P; R, delta) for the
-segment's primes.  Both refuse, before sieving or listing a modulus,
-an (x, R) whose estimated working set passes WORKING_SET_BUDGET.  The
-per-prime counts reach json as text pieces in key order
-(ScanReport.n_of_p_json), never as one dict.  numpy and the _kernels
-sieve are imported only by the functions that build per-prime arrays.
+class's stride.  class_scans, the entry of sieve and of csv and table
+stats, takes exact prime flags from arith's sieve, with no numpy and
+no flags kept past their segment.  average_local_params, the entry of
+json stats, sieves once: it lists the primes P = 5k + 1 <= x with
+_kernels.class_primes, sets each segment's flags from them, and adds
+each class into one small array of hits at its stride, which gives
+N(P; R, delta) for the segment's primes.  Both return a ScanReport,
+whose prime count and mean are read from the class rows alone; both
+refuse, before sieving or listing a modulus, an (x, R) whose estimated
+working set passes WORKING_SET_BUDGET.  The per-prime counts reach json
+as text pieces in key order (ScanReport.n_of_p_json), never as one
+dict.  numpy and the _kernels sieve are imported only by the functions
+that build per-prime arrays.
 """
 
 from __future__ import annotations
@@ -71,26 +73,30 @@ class ClassScan(namedtuple("ClassScan", ProgressionClass._fields + ("primes_foun
         return {**self._asdict(), "exceptional": self.primes_found == 0}
 
 
-class ScanReport(namedtuple("ScanReport", "x R delta primes totals classes")):
+class ScanReport(namedtuple("ScanReport", "x R delta prime_count classes primes totals",
+                            defaults=(None, None))):
     """Aggregate statistics for all admissible r <= R at one (x, delta).
 
-    primes are the primes P <= x with P = 1 (mod 5), ascending, as a
-    numpy array, and totals[i] = N(primes[i]; R, delta); classes are the
-    ClassScan rows.  Everything else is read from them.  Arrays have no
-    value equality, so a report compares and hashes by identity.
+    prime_count counts the primes P <= x with P = 1 (mod 5), and classes
+    are the ClassScan rows; the mean and the exceptional moduli are read
+    from them.  average_local_params alone fills primes, those primes
+    ascending as a numpy array, and totals[i] = N(primes[i]; R, delta).
+    Arrays have no value equality, so a report compares and hashes by
+    identity.
     """
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
-    def prime_count(self) -> int:
-        return int(self.primes.size)
-
-    @property
     def average(self) -> Fraction | None:
-        """Mean N(P; R, delta); None when no qualifying primes exist."""
-        return Fraction(int(self.totals.sum()), self.prime_count) if self.prime_count else None
+        """Mean N(P; R, delta); None when no qualifying primes exist.
+
+        Each P counts once per class that holds it, so the totals sum to
+        the classes' prime counts (double counting)."""
+        if not self.prime_count:
+            return None
+        return Fraction(sum(c.primes_found for c in self.classes), self.prime_count)
 
     @property
     def n_of_p(self) -> dict[int, int]:
@@ -290,12 +296,14 @@ def check_working_set(x: int, R: int) -> None:
 
 
 class _ClassRows:
-    """Each admissible class's count and first prime, read one segment of
-    flags at a time: the one rule of class rows.  An (x, R) past the
-    working-set budget fails before any modulus is listed."""
+    """The prime count, and each admissible class's count and first
+    prime, read one segment of flags at a time: the one rule of class
+    rows.  An (x, R) past the working-set budget fails before any
+    modulus is listed."""
 
     def __init__(self, x: int, R: int, delta: int) -> None:
         check_working_set(x, R)
+        self.x, self.R, self.delta, self.prime_count = x, R, delta, 0
         self.classes = [build_progression_class(delta, r) for r in admissible_moduli(R, delta)]
         self.found = [0] * len(self.classes)
         self.first: list[int | None] = [None] * len(self.classes)
@@ -305,6 +313,7 @@ class _ClassRows:
         every class, and return each class's start in it.  A class's
         members are P = 5k + 1 with k = k0 = (residue - 1)/5 (mod r), so
         its row is the flags from (k0 - lo) mod r at stride r."""
+        self.prime_count += flags.count(1)
         starts = []
         for i, cls in enumerate(self.classes):
             start = ((cls.residue - 1) // 5 - lo) % cls.r
@@ -315,15 +324,17 @@ class _ClassRows:
             starts.append(start)
         return starts
 
-    def scans(self) -> tuple[ClassScan, ...]:
-        return tuple(
+    def report(self, primes=None, totals=None) -> ScanReport:
+        scans = tuple(
             ClassScan(*cls, n, p)
             for cls, n, p in zip(self.classes, self.found, self.first)
         )
+        return ScanReport(self.x, self.R, self.delta, self.prime_count, scans, primes, totals)
 
 
-def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
-    """One ClassScan per admissible r <= R, ascending: the count and the
+def class_scans(x: int, R: int, delta: int) -> ScanReport:
+    """The report without primes and totals: the prime count, and one
+    ClassScan per admissible r <= R, ascending, with the count and the
     first of the primes P <= x in the class, with no numpy.
 
     Every class lies in P = 5k + 1, k = k0 (mod r) with k0 = (residue -
@@ -337,12 +348,12 @@ def class_scans(x: int, R: int, delta: int) -> tuple[ClassScan, ...]:
     base = list(primes_between(2, isqrt(max(x, 0))))
     for i, flags in enumerate(_sieve_flags(1, 5, (x - 1) // 5 + 1, base, SEGMENT)):
         rows.read(flags, i * SEGMENT)
-    return rows.scans()
+    return rows.report()
 
 
 def average_local_params(x: int, R: int, delta: int) -> ScanReport:
-    """class_scans' rows, and the exact mean of N(P; R, delta) over
-    primes P <= x, P = 1 (mod 5), from one sieve.
+    """class_scans' report with the primes P <= x, P = 1 (mod 5), and
+    each one's N(P; R, delta), from one sieve.
 
     _kernels.class_primes lists the primes P = 5k + 1 <= x once.  Then k
     is walked SEGMENT values at a time: the segment's primes are set in a
@@ -350,11 +361,8 @@ def average_local_params(x: int, R: int, delta: int) -> ScanReport:
     class_scans does, and each class adds 1 to hits at its start and
     stride r, so hits[k - lo] = N(5k + 1; R, delta).  hits takes the
     least unsigned type that holds the class count, which no entry can
-    pass.  The report keeps the primes, ascending, their totals and the
-    class rows; the mean, per-prime counts and exceptional moduli are
-    read from them, and a zero-prime range is flagged by average=None.
-    An (x, R) past the working-set budget fails before anything is
-    sieved or any modulus listed.
+    pass.  An (x, R) past the working-set budget fails before anything
+    is sieved or any modulus listed.
     """
     import numpy as np
 
@@ -376,7 +384,7 @@ def average_local_params(x: int, R: int, delta: int) -> ScanReport:
             hits[start :: cls.r] += 1
         totals[i0:i1] = hits[k]
         i0 = i1
-    return ScanReport(x, R, delta, primes, totals, rows.scans())
+    return rows.report(primes, totals)
 
 
 def fit_growth_constant(

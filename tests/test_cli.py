@@ -841,6 +841,30 @@ class TestTable:
         assert code == 2
 
 
+# A reader that stops early, as `serp scan ... | head -n 1` does, closes
+# stdout under a run that has more to write: the run ends quietly with
+# 128 + SIGPIPE, not with a traceback and the exit code of a miss.
+@pytest.mark.parametrize("argv", [
+    ["scan", "--from", "0", "--to", "100000"],
+    ["stats", "--x", "1000000", "--rmax", "64", "--delta", "1"],
+])
+def test_closed_stdout_exits_141_quietly(argv):
+    src = str(Path(cli_mod.__file__).parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "serp.cli", *argv, "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline(100)  # the first line, or its first 100 bytes
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert "Traceback" not in err and "BrokenPipe" not in err
+
+
 def test_invariant_violation_exit_code(monkeypatch):
     # force the no-unchecked-output guard to trip
     import serp.cli as cli_mod

@@ -159,15 +159,12 @@ class TestDeltaOne:
             assert seen[1000005029] == (False, 1) and ed2_search(1000005029, 1, 1)
 
 
-    # (window, tables built): a window narrower than its 13,107 classes
-    # divides 5P + 1 by them instead.  Below MR_DETERMINISTIC_BOUND every
-    # prime hits a small r, so no table is built; near 1e9 a prime
-    # with no r up to the cap spends all the divisions, and the rest of
-    # the window gets its table.  The last segment of the seed-0 scan
-    # window, [807731, 811072], outnumbers its 402 classes, so it keeps
-    # its table.
+    # (window, tables built): a window of at most _SEGMENT integers is
+    # one table, however few integers it holds against its classes
+    # (13,107 near 1e9 and below MR_DETERMINISTIC_BOUND, 402 for the
+    # last segment of the seed-0 scan window, [807731, 811072]).
     @pytest.mark.parametrize("lo, hi, tables", [
-        (MR_DETERMINISTIC_BOUND - 230, MR_DETERMINISTIC_BOUND - 1, 0),
+        (MR_DETERMINISTIC_BOUND - 230, MR_DETERMINISTIC_BOUND - 1, 1),
         (10**9, 10**9 + 6000, 1),
         (807731, 811072, 1),
     ])
@@ -180,17 +177,14 @@ class TestDeltaOne:
             assert delta_one.least_r(P) == least_r_by_division(P, delta_one.cap), P
         assert len(built) == tables
 
-    # Divisions are paid from the class count: once the rest of the
-    # window outnumbers the classes left, the rest is one table, so no
-    # window makes more than twice as many divisions as it has classes.
+    # No table reaches past the end of the window.
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 10**12), st.integers(0, 400), st.integers(1, 40))
     def test_least_r_is_the_tables_entry(self, lo, width, step):
         delta_one = _DeltaOne(lo + width)
-        classes = len(range(4, delta_one.cap + 1, 5))
         for P in range(lo, lo + width + 1, step):
             assert delta_one.least_r(P) == least_r_by_division(P, delta_one.cap), P
-        assert classes - delta_one.unpaid <= 2 * classes
+            assert delta_one.lo + len(delta_one.table) <= lo + width + 1
 
 
 class TestCaseA:

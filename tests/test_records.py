@@ -4,7 +4,7 @@ from record fields.
 Each record is an immutable named tuple: assignment raises
 AttributeError, it holds no __dict__, its repr reads Name(field=value,
 ...), and one whose fields are hashable survives a pickle round trip.
-ScanReport holds numpy arrays, so it compares by identity instead.
+ScanReport can hold numpy arrays, so it compares by identity instead.
 """
 
 import pickle
@@ -31,7 +31,7 @@ RECORDS = {
     "NormalizedEd2": lambda: ed2_normalize(ed2_search(11, 1)[0]),
     "OracleEnumeration": lambda: enumerate_all_solutions(11),
     "ProgressionClass": lambda: build_progression_class(1, 4),
-    "ClassScan": lambda: class_scans(10**4, 64, 1)[0],
+    "ClassScan": lambda: class_scans(10**4, 64, 1).classes[0],
     "ScanReport": lambda: average_local_params(100, 16, 1),
     "SublatticeClass": lambda: SublatticeClass((3, 5), (4, -1)),
     "BridgeResult": lambda: convolve_ed2_to_ed1(ed2_search(11, 1)[0]),
@@ -84,7 +84,7 @@ def test_ed2_witness_row_is_pinned():
 
 
 def test_class_scan_row_is_pinned():
-    assert list(class_scans(10**4, 64, 1)[0].as_dict().items()) == [
+    assert list(class_scans(10**4, 64, 1).classes[0].as_dict().items()) == [
         ("delta", 1), ("r", 4), ("residue", 11), ("modulus", 20), ("primes_found", 154),
         ("first_prime", 11), ("exceptional", False),
     ]

@@ -98,7 +98,7 @@ def expected_rows(x, R, delta):
 
 
 def scanned_rows(x, R, delta):
-    return [(c.r, c.primes_found, c.first_prime) for c in class_scans(x, R, delta)]
+    return [(c.r, c.primes_found, c.first_prime) for c in class_scans(x, R, delta).classes]
 
 
 class TestClassScans:
@@ -127,7 +127,25 @@ class TestClassScans:
         assert scanned_rows(x, 60, 3) == expected_rows(x, 60, 3)
 
     def test_rows_are_the_reports(self):
-        assert class_scans(1000, 64, 7) == average_local_params(1000, 64, 7).classes
+        assert class_scans(1000, 64, 7).classes == average_local_params(1000, 64, 7).classes
+
+    # class_scans keeps no per-prime counts: its prime count sums the
+    # segments' flags, and its mean is the class counts' sum over it,
+    # since each prime counts once per class that holds it
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x=st.integers(1, 200_000),
+        R=st.integers(1, 300),
+        delta=st.integers(1, 30),
+        segment=st.sampled_from([97, sieve.SEGMENT]),
+    )
+    def test_count_and_mean_are_the_per_prime_reports(self, x, R, delta, segment):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "SEGMENT", segment)
+            report = class_scans(x, R, delta)
+        primes, totals = average_local_params(x, R, delta)[-2:]
+        assert report.prime_count == primes.size
+        assert report.average == (Fraction(int(totals.sum()), primes.size) if primes.size else None)
 
 
 class TestOnePassReport:

@@ -104,9 +104,9 @@ def test_invariant_checks_run_under_python_O():
     assert proc.stdout == expected.getvalue()
 
 
-# numpy builds the per-prime arrays of stats alone: importing serp must
-# not load it, and json stats loads it when it runs (sieve and csv stats
-# run without it: see WITHOUT_NUMPY_SCRIPT).
+# numpy builds the per-prime arrays of json stats alone: importing serp
+# must not load it, and json stats loads it when it runs (sieve, and csv
+# and table stats, run without it: see WITHOUT_NUMPY_SCRIPT).
 IMPORT_GRAPH_SCRIPT = """
 import io
 import sys
@@ -151,11 +151,11 @@ def test_numpy_loads_only_for_the_sieve():
     assert proc.returncode == 0, proc.stderr
 
 
-# sieve, and stats as csv, count their class rows from bytearray
-# segments: with numpy made unimportable they must still write the rows
-# they write with it (tests/test_cli.py pins the sieve's).
+# sieve, and stats as csv or table, count their class rows and primes
+# from bytearray segments: with numpy made unimportable they must still
+# write what they write with it (tests/test_cli.py pins both).
 SIEVE_ARGV = ["sieve", "--delta", "7", "--rmax", "64", "--xmax", "1100000", "--format", "json"]
-STATS_CSV_ARGV = ["stats", "--x", "1100000", "--rmax", "64", "--delta", "7", "--format", "csv"]
+STATS_ARGV = ["stats", "--x", "1100000", "--rmax", "64", "--delta", "7", "--format"]
 WITHOUT_NUMPY_SCRIPT = """
 import sys
 
@@ -179,7 +179,8 @@ def test_sieve_runs_without_numpy():
 
 
 def test_stats_csv_runs_without_numpy():
-    _assert_runs_without_numpy(STATS_CSV_ARGV)
+    for fmt in ("csv", "table"):
+        _assert_runs_without_numpy(STATS_ARGV + [fmt])
 
 
 # stats loads numpy with OPENBLAS_NUM_THREADS=1 unless the caller set it:
