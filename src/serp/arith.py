@@ -14,7 +14,8 @@ progression_strides; _sieve_flags, the one sieve of Eratosthenes, flags
 exactly the primes once its base primes reach the square root of the
 last value.  All are exact up to ~3.3e24 (the last proven witness
 bound) and raise ValueError past it for an undecided input.
-divisors_in_class meets in the middle for a modulus >= 6 coprime to n.
+divisors_in_class lists one residue class of divisors by meeting in the
+middle.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -133,15 +134,6 @@ def _divisors_upto(factors, upto: int) -> list[int]:
     return ds
 
 
-# Below this modulus at most four residue classes are coprime to it, so
-# the filter keeps at least a quarter of what it builds and meeting in
-# the middle saves little.  ED2 lists mod 5 at delta = 1 once per
-# first-hit step of a scan, mostly for N with 4 to 16 divisors, where
-# it cost more than it saved; its other moduli, 5*rad(delta), are 10
-# or more.
-_MEET_MIN_MODULUS = 6
-
-
 class Factorization(namedtuple("Factorization", "n factors")):
     """Prime factorization of n: factors holds strictly increasing
     (prime, exponent) pairs."""
@@ -155,22 +147,19 @@ class Factorization(namedtuple("Factorization", "n factors")):
     def divisors_in_class(self, residue: int, modulus: int, upto: int) -> list[int]:
         """Divisors d <= upto of n with d = residue (mod modulus), ascending.
 
-        When modulus >= _MEET_MIN_MODULUS, gcd(n, modulus) = 1 and n has
-        two primes or more, the prime powers are split into two halves
-        of about equal divisor count that meet in the middle
-        (Horowitz & Sahni, J. ACM 21, 1974): the left half's divisors are
-        bucketed by residue, and each right divisor d reads only the
-        bucket of residue * d**-1 (mod modulus).  Otherwise every divisor
-        <= upto is built and filtered.  Either way partial products above
-        upto are dropped while they are built.
+        The prime powers are split into two halves of about equal
+        divisor count that meet in the middle (Horowitz & Sahni, J. ACM
+        21, 1974): the left half's divisors are bucketed by residue, and
+        each right divisor d reads only the bucket of residue * d**-1
+        (mod modulus).  A prime that divides the modulus goes left,
+        where no inverse is needed.  Partial products above upto are
+        dropped while they are built.
         """
         residue %= modulus
-        if modulus < _MEET_MIN_MODULUS or len(self.factors) < 2 or gcd(self.n, modulus) != 1:
-            return sorted(d for d in _divisors_upto(self.factors, upto) if d % modulus == residue)
         left, right = [], []
         n_left = n_right = 1  # divisor counts of the halves so far
         for p, e in self.factors:
-            if n_left <= n_right:
+            if modulus % p == 0 or n_left <= n_right:
                 left.append((p, e))
                 n_left *= e + 1
             else:
@@ -216,13 +205,12 @@ _SEGMENT = 1 << 16  # integers per primes_between segment
 _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
 
 # factorize_progression strips every prime below _SIEVE_LIMIT, so a
-# cofactor below _SIEVE_SQUARE is prime; _base_primes sieves them once.
+# cofactor below _SIEVE_SQUARE is prime.
 _SIEVE_LIMIT = 1 << 16
 _SIEVE_SQUARE = _SIEVE_LIMIT * _SIEVE_LIMIT
 _SIEVE_SEGMENT = 512  # values per factorize_progression segment
 _SIEVE_MIN_LENGTH = 1024  # shorter progressions are factored value by value
 _INVERSE_BATCH = 16  # base primes whose product shares one modular inverse
-_sieve_primes: array | None = None
 
 
 def _brent_factor(n: int) -> int:
@@ -318,18 +306,14 @@ def primes_between(lo: int, hi: int) -> Iterator[int]:
 
 def _base_primes(k: int) -> Sequence[int]:
     """Every prime <= k < _SIEVE_LIMIT, ascending: a slice of _TRIAL_PRIMES
-    or of the primes below _SIEVE_LIMIT, sieved once on first use."""
-    global _sieve_primes
+    below _TRIAL_LIMIT, else sieved afresh in one segment over [2, k] by
+    the primes up to isqrt(k), a smaller request."""
     if k >= _SIEVE_LIMIT:
         raise ValueError(f"base primes stop below {_SIEVE_LIMIT}, got k = {k}")
     if k < _TRIAL_LIMIT:
         return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, k)]
-    if _sieve_primes is None:
-        # sieved by primes < 1000 while L < 10**12, so never by this cache
-        small = list(primes_between(2, isqrt(_SIEVE_LIMIT - 1)))
-        flags = next(_sieve_flags(2, 1, _SIEVE_LIMIT - 2, small, _SIEVE_LIMIT))
-        _sieve_primes = array("I", compress(range(2, _SIEVE_LIMIT), flags))
-    return _sieve_primes[: bisect_right(_sieve_primes, k)]
+    flags = next(_sieve_flags(2, 1, k - 1, _base_primes(isqrt(k)), k))
+    return array("I", compress(range(2, k + 1), flags))
 
 
 def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:

@@ -11,8 +11,8 @@ N = 5*P*delta + 1 up to sqrt(N) is listed: by dividing N by each member
 where the class has at most _SPARSE_MAX of them, else from the
 factorization of N, by one sieve over the progression N(delta) when at
 least _SIEVE_MIN_LENGTH deltas of a segment need one.  rad(delta) comes
-from one small sieve over the delta range, or for one delta from one
-gcd with the product of the trial primes.  pair_from_divisor, the only
+from one small sieve over the delta range, or for one delta from
+factorize(delta).  pair_from_divisor, the only
 code that turns a divisor into a witness, rebuilds b = (r+1)/5 and
 c = (s+1)/5 and still checks delta | b*c, which the class implies for
 squarefree delta only.  The normalized
@@ -27,7 +27,7 @@ b = (r + 1)/5, r divides 5P + 1 exactly when P = -b (mod r), since
 delta = 1 through r form one progression class.  _delta_one_table
 strikes these classes over one segment of the window and keeps the
 least r of each P, for r up to min(isqrt(5*to + 1), 65534), the largest
-such r below the sieve limit 2**16 that array('H') holds.  The
+such r that array('H') holds.  The
 cofactor of r is = 4 (mod 5) too, so the least r never exceeds
 isqrt(5P + 1).  _DeltaOne reads P's entry: an r is
 ed2_search(P, 1, 1)'s first witness; no r while the cap reaches
@@ -50,8 +50,6 @@ from .arith import (
     _SIEVE_LIMIT,
     _SIEVE_MIN_LENGTH,
     _SIEVE_SQUARE,
-    _TRIAL_PRODUCT,
-    _TRIAL_SQUARE,
     Factorization,
     _base_primes,
     factorize,
@@ -116,14 +114,8 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
 
 
 def _radical(d: int) -> int:
-    """rad(d), the product of the primes dividing d >= 1: one gcd with
-    the product of the primes below _TRIAL_LIMIT gives those that
-    divide d, and what is left of d below _TRIAL_LIMIT**2 is 1 or prime."""
-    g = gcd(d, _TRIAL_PRODUCT)
-    rest = d // g
-    while (h := gcd(rest, g)) > 1:
-        rest //= h
-    return g * (rest if rest < _TRIAL_SQUARE else prod(p for p, _ in factorize(rest).factors))
+    """rad(d), the product of the primes dividing d >= 1."""
+    return prod(p for p, _ in factorize(d).factors)
 
 
 def _radicals(lo: int, n: int) -> list[int]:
@@ -222,7 +214,7 @@ def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
 
 def _delta_one_table(lo: int, n: int, cap: int) -> array:
     """For P = lo + i, i < n: the least r = 4 (mod 5), r <= cap, that
-    divides 5P + 1, or 0 when none does; cap must be below 2**16.
+    divides 5P + 1, or 0 when none does; cap must fit array('H').
 
     r divides 5P + 1 exactly when P = -(r + 1)/5 (mod r).  Each class is
     one slice assignment, from the largest r down to 4, so the least r
@@ -243,7 +235,8 @@ class _DeltaOne:
     primes asked in ascending order build each table once."""
 
     def __init__(self, hi: int):
-        self.hi, self.cap = hi, min(isqrt(5 * max(hi, 0) + 1), _SIEVE_LIMIT - 2)
+        # capped at the largest entry array('H') holds
+        self.hi, self.cap = hi, min(isqrt(5 * max(hi, 0) + 1), 0xFFFF)
         self.lo, self.table = 0, array("H")
 
     def least_r(self, P: int) -> int:

@@ -195,6 +195,14 @@ class TestPrimesBetween:
         assert asked if hi >= 2**32 else not asked
         assert all(n >= 2**32 for n in asked)
 
+    # below 1000 a slice of the trial primes, from 1000 on a fresh sieve
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.one_of(
+        st.integers(0, 2**16 - 1), st.sampled_from([0, 1, 2, 999, 1000, 1009, 2**16 - 1])
+    ))
+    def test_base_primes_are_every_prime_up_to_k(self, sympy, k):
+        assert list(arith._base_primes(k)) == list(sympy.primerange(2, k + 1))
+
 
 class TestModInverse:
     def test_examples(self):
@@ -294,15 +302,22 @@ class TestDivisors:
             for d in range(1, min(n, 300) + 1):
                 assert (n % d == 0) == (d in ds)
 
-    # 11 * 13 * 17 * 19 * 23 meets in the middle for a modulus >= 6, with
-    # the halves {11, 17, 23} and {13, 19}; the other cases filter
+    # Every case meets in the middle.  11 * 13 * 17 * 19 * 23 splits into
+    # the halves {11, 17, 23} and {13, 19}; a prime that divides the
+    # modulus goes to the left half.
     @pytest.mark.parametrize(
         "n, residue, modulus, upto",
         [
             (2**3 * 3**2 * 5 * 7, 0, 10, 2520),  # gcd(n, modulus) = 10
             (2**4 * 3**3 * 11, 3, 6, 10**6),  # gcd(n, modulus) = 6
+            (2**5 * 3**3 * 5**2, 0, 30, 10**5),  # every prime divides the modulus
+            (2**5 * 3**3 * 5**2, 12, 30, 10**4),
+            (2**4 * 3**2 * 5 * 7 * 11 * 13, 0, 1, 2**4 * 3**2 * 5 * 7 * 11 * 13),  # 240 divisors
+            (2**4 * 3**2 * 5 * 7 * 11 * 13, 0, 1, 5000),
             (7**5, 0, 7, 7**5),  # one prime, which divides the modulus
             (3**10, 1, 8, 3**10),  # one prime, coprime to the modulus
+            (3**12, 1, 5, 3**12),  # one prime, coprime to a modulus below 6
+            (13**5, 3, 4, 13**5),
             (2**40, 1, 3, 10**6),  # one prime with 41 divisors
             (11 * 13 * 17 * 19 * 23, 1, 5, 11 * 13 * 17 * 19 * 23),  # modulus below 6
             (11 * 13 * 17 * 19 * 23, 1, 12, 0),
@@ -388,11 +403,13 @@ class TestFactorizeProgression:
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
 
     def test_short_range_builds_no_base_primes(self, monkeypatch):
-        monkeypatch.setattr(arith, "_sieve_primes", None)
+        requested = []
+        base_primes = arith._base_primes
+        monkeypatch.setattr(arith, "_base_primes", lambda k: requested.append(k) or base_primes(k))
         a, m = ENGINE_PROGRESSIONS[0]
         n = arith._SIEVE_MIN_LENGTH - 1
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
-        assert arith._sieve_primes is None
+        assert requested == []
 
     def test_rejects_values_below_one(self):
         with pytest.raises(ValueError):
@@ -410,15 +427,13 @@ class TestFactorizeProgression:
 
     def test_more_base_primes_than_an_unsigned_short_holds(self, monkeypatch):
         # 2**20 gives 82,025 base primes, more than 65,535; and isqrt(L) >=
-        # 1000, so the cache is sieved by primes sliced from itself unless
-        # it is built in two levels
+        # 1000, so primes_between's own base primes are sieved in turn
         monkeypatch.setattr(arith, "_SIEVE_LIMIT", 2**20)
         monkeypatch.setattr(arith, "_SIEVE_SQUARE", 2**40)
-        monkeypatch.setattr(arith, "_sieve_primes", None)
+        assert len(arith._base_primes(2**20 - 1)) == 82_025
         a, m = 5 * 1_000_000_021 + 1, 5 * 1_000_000_021  # ED2's N(delta)
         n = arith._SIEVE_MIN_LENGTH + 100
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
-        assert len(arith._sieve_primes) > 65_535
 
     def test_values_past_primality_bound_go_whole_to_factorize(self, monkeypatch):
         monkeypatch.setattr(arith, "_SIEVE_MIN_LENGTH", 0)

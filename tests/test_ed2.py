@@ -177,6 +177,14 @@ class TestDeltaOne:
             assert delta_one.least_r(P) == least_r_by_division(P, delta_one.cap), P
         assert len(built) == tables
 
+    # The cap is array('H')'s bound whatever the sieve limit, so the
+    # table still holds every entry at L = 2**20.
+    def test_cap_fits_the_table_at_a_larger_sieve_limit(self, monkeypatch):
+        monkeypatch.setattr(ed2_mod, "_SIEVE_LIMIT", 2**20)
+        delta_one = _DeltaOne(10**9 + 200_000)
+        for P in range(10**9 + 7, 10**9 + 2007, 20):
+            assert delta_one.least_r(P) == least_r_by_division(P, 65534), P
+
     # No table reaches past the end of the window.
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 10**12), st.integers(0, 400), st.integers(1, 40))
