@@ -153,8 +153,10 @@ class Factorization(namedtuple("Factorization", "n factors")):
         each right divisor d reads only the bucket of residue * d**-1
         (mod modulus).  A prime that divides the modulus goes left,
         where no inverse is needed.  Partial products above upto are
-        dropped while they are built.
+        dropped while they are built.  modulus must be >= 1.
         """
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
         residue %= modulus
         left, right = [], []
         n_left = n_right = 1  # divisor counts of the halves so far
@@ -253,11 +255,12 @@ def factorize(n: int) -> Factorization:
     Brent's rho until every part is prime.  is_prime is asked only about
     parts of at least _TRIAL_LIMIT**2; smaller ones have no factor left
     to find.  A part past the deterministic primality range (~3.3e24)
-    raises ValueError.  The engines factor a parameter range with
+    raises ValueError.  ED1 factors its parameter range with
     factorize_progression, which calls this for short ranges and for
-    the cofactors its sieve leaves at or above 2**32 (ED2 only the N it
-    cannot divide cheaply), and list divisors in one residue class with
-    Factorization.divisors_in_class; the oracle calls this once per A.
+    the cofactors its sieve leaves at or above 2**32; ED2 calls this for
+    each N whose divisor class is too dense to divide, the oracle once
+    per A.  Each lists divisors in one residue class with
+    Factorization.divisors_in_class.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -8,14 +8,12 @@ so the search runs over delta and divisor pairs r*s = 5*P*delta + 1 with
 r = s = 4 (mod 5).  Only r = -1 (mod 5*rad(delta)) can pass delta | b*c
 (see _witnesses_for_delta), so just that class of divisors of
 N = 5*P*delta + 1 up to sqrt(N) is listed: by dividing N by each member
-where the class has at most _SPARSE_MAX of them, else from the
-factorization of N, by one sieve over the progression N(delta) when at
-least _SIEVE_MIN_LENGTH deltas of a segment need one.  rad(delta) comes
-from one small sieve over the delta range, or for one delta from
-factorize(delta).  pair_from_divisor, the only
-code that turns a divisor into a witness, rebuilds b = (r+1)/5 and
-c = (s+1)/5 and still checks delta | b*c, which the class implies for
-squarefree delta only.  The normalized
+where the class has at most _SPARSE_MAX of them, else from
+factorize(N).  rad(delta) comes from one small sieve over each segment
+of the delta range, one delta being a segment of one.
+pair_from_divisor, the only code that turns a divisor into a witness,
+rebuilds b = (r+1)/5 and c = (s+1)/5 and still checks delta | b*c,
+which the class implies for squarefree delta only.  The normalized
 coordinates split b = g*b', c = g*c' with gcd(b', c') = 1 and
 delta = alpha * dprime**2 (alpha squarefree); a row is canonical when
 g = alpha*dprime, b' + c' = m*dprime and A = alpha*b'*c', where
@@ -41,19 +39,14 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator
-from itertools import compress
 from math import gcd, isqrt, prod
 
 from .arith import (
     _SEGMENT,
     _SIEVE_LIMIT,
-    _SIEVE_MIN_LENGTH,
     _SIEVE_SQUARE,
-    Factorization,
     _base_primes,
     factorize,
-    factorize_progression,
     squarefree_split,
 )
 from .errors import KernelViolation, WrongResidue
@@ -99,23 +92,16 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
     accepted; P = 1 (mod 5) is merely the class with no closed form.
     A range is searched _SEGMENT deltas at a time, so memory stays flat
     however wide it is; one delta, as each step of a first-hit search,
-    sets up no segment.
+    is a segment of one.
     """
     if P % 5 == 0:
         raise WrongResidue(f"ED2 search needs 5 to not divide P, got P = {P}")
-    lo = max(delta_min, 1)
-    if lo == delta_max:
-        N, rad = 5 * P * lo + 1, _radical(lo)
-        return _witnesses_for_delta(P, lo, factorize(N) if _is_dense(N, rad) else None, rad)
     out = []
-    for lo in range(lo, delta_max + 1, _SEGMENT):
-        out += _segment_witnesses(P, lo, _radicals(lo, min(_SEGMENT, delta_max + 1 - lo)))
+    for lo in range(max(delta_min, 1), delta_max + 1, _SEGMENT):
+        rads = _radicals(lo, min(_SEGMENT, delta_max + 1 - lo))
+        for delta, rad in enumerate(rads, lo):
+            out += _witnesses_for_delta(P, delta, rad)
     return out
-
-
-def _radical(d: int) -> int:
-    """rad(d), the product of the primes dividing d >= 1."""
-    return prod(p for p, _ in factorize(d).factors)
 
 
 def _radicals(lo: int, n: int) -> list[int]:
@@ -132,62 +118,27 @@ def _radicals(lo: int, n: int) -> list[int]:
             rests[i] = q
     for i, q in enumerate(rests):
         if q > 1:
-            rads[i] *= q if q < _SIEVE_SQUARE else _radical(q)
+            rads[i] *= q if q < _SIEVE_SQUARE else prod(p for p, _ in factorize(q).factors)
     return rads
 
 
-def _is_dense(N: int, rad: int) -> bool:
-    """Whether the class -1 (mod 5*rad) has more than _SPARSE_MAX members
-    up to isqrt(N), so that its divisors of N are listed from a
-    factorization of N rather than by division."""
-    return isqrt(N) // (5 * rad) > _SPARSE_MAX
-
-
-def _segment_witnesses(P: int, lo: int, rads: list[int]) -> list[Ed2Witness]:
-    """The witnesses at delta = lo + i, given rads[i] = rad(delta)."""
-    step = 5 * P
-    deltas = range(lo, lo + len(rads))
-    dense = [_is_dense(step * delta + 1, rad) for delta, rad in zip(deltas, rads)]
-    fNs = _dense_factorizations(step, deltas, dense)
-    out = []
-    for delta, rad, is_dense in zip(deltas, rads, dense):
-        out += _witnesses_for_delta(P, delta, next(fNs) if is_dense else None, rad)
-    return out
-
-
-def _dense_factorizations(step: int, deltas: range, dense: list[bool]) -> Iterator[Factorization]:
-    """factorize(step*delta + 1) for each delta of deltas marked dense,
-    in order: one factorize_progression over the span from the first
-    such delta to the last when there are at least _SIEVE_MIN_LENGTH of
-    them, else one factorize each."""
-    if dense.count(True) < _SIEVE_MIN_LENGTH:
-        return map(factorize, [step * delta + 1 for delta in compress(deltas, dense)])
-    i = dense.index(True)
-    j = len(dense) - dense[::-1].index(True)
-    return compress(factorize_progression(step * deltas[i] + 1, step, j - i), dense[i:j])
-
-
-def _witnesses_for_delta(
-    P: int, delta: int, fN: Factorization | None, rad: int
-) -> list[Ed2Witness]:
+def _witnesses_for_delta(P: int, delta: int, rad: int) -> list[Ed2Witness]:
     """The witnesses at delta, given rad = rad(delta).
 
     Only r = -1 (mod M), M = 5*rad, can pass delta | b*c: a prime q
     dividing delta divides N - 1 = r*s - 1, N = 5*P*delta + 1, so q
     divides b = (r + 1)/5 exactly when r = -1 (mod q), exactly when
     s = -1 (mod q), that is, when q divides c (for q = 5, read mod 25).
-    The class's divisors of N up to isqrt(N) are listed from fN, the
-    factorization of N, or, when fN is None, by dividing N by each
-    member of the class.
+    The class's divisors of N up to isqrt(N) are listed by dividing N by
+    each member of the class when it has at most _SPARSE_MAX of them,
+    else from factorize(N).
     """
     N = 5 * P * delta + 1
     M, root = 5 * rad, isqrt(N)
-    if fN is None:
-        rs = (r for r in range(M - 1, root + 1, M) if N % r == 0)
-    elif fN.n == N:
-        rs = fN.divisors_in_class(M - 1, M, root)
+    if root // M > _SPARSE_MAX:
+        rs = factorize(N).divisors_in_class(M - 1, M, root)
     else:
-        raise KernelViolation(f"factorization of {fN.n} given for N = {N}")
+        rs = (r for r in range(M - 1, root + 1, M) if N % r == 0)
     return [w for r in rs if (w := pair_from_divisor(P, delta, r)) is not None]
 
 

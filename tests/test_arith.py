@@ -328,9 +328,15 @@ class TestDivisors:
             (11 * 13 * 17 * 19 * 23, 1, 6, 300),  # buckets with left divisors past upto
             (11 * 13 * 17 * 19 * 23, 2, 7, 10**5),
             (11 * 13 * 17 * 19 * 23, 3, 1000, 11 * 13 * 17 * 19 * 23),
+            (12, 1, 0, 12),  # no class mod 0: ValueError, as crt_combine raises
+            (12, 1, -5, 12),
         ],
     )
     def test_divisors_in_class_edge_cases(self, n, residue, modulus, upto):
+        if modulus < 1:
+            with pytest.raises(ValueError, match="modulus must be >= 1"):
+                factorize(n).divisors_in_class(residue, modulus, upto)
+            return
         expected = [
             d for d in range(1, min(n, upto) + 1) if n % d == 0 and (d - residue) % modulus == 0
         ]

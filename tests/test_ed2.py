@@ -168,7 +168,7 @@ class TestDeltaOne:
         (10**9, 10**9 + 6000, 1),
         (807731, 811072, 1),
     ])
-    def test_narrow_window_divides_until_a_table_pays(self, monkeypatch, lo, hi, tables):
+    def test_window_builds_one_table_per_segment(self, monkeypatch, lo, hi, tables):
         built = []
         build = ed2_mod._delta_one_table
         monkeypatch.setattr(ed2_mod, "_delta_one_table", lambda *a: built.append(a) or build(*a))

@@ -4,9 +4,9 @@ Both engines list divisors through Factorization.divisors_in_class and
 turn an ED2 divisor into a witness only through pair_from_divisor.
 Each property compares them with a brute-force reference that shares
 no code with them.  ed2_search lists only r = -1 (mod 5*rad(delta)),
-by division where that class is sparse below sqrt(N) and from the
-factorization of N where it is dense; the properties below hold it to
-trial division over every r = 4 (mod 5).
+by division where that class is sparse below sqrt(N) and from
+factorize(N) where it is dense; the properties below hold both
+listings to trial division over every r = 4 (mod 5).
 """
 
 from math import gcd, isqrt
@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import serp.ed2 as ed2_mod
-from serp.arith import _SIEVE_MIN_LENGTH, factorize, is_prime
+from serp.arith import factorize, is_prime
 from serp.ed1 import Ed1Witness, _witnesses_for_candidate
 from serp.ed2 import (
     _SPARSE_MAX,
@@ -115,10 +115,11 @@ def test_divisors_in_class_of_a_square(c, modulus, data):
 def test_ed2_witnesses_match_trial_division(P, delta):
     assume(P % 5)
     expected = trial_division_witnesses(P, delta)
-    fN = factorize(5 * P * delta + 1)
-    assert _witnesses_for_delta(P, delta, fN, rad(delta)) == expected
-    # fN = None lists the same class by division
-    assert _witnesses_for_delta(P, delta, None, rad(delta)) == expected
+    # -1 lists every class from factorize(N), 10**9 every class by division
+    for sparse_max in (-1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ed2_mod, "_SPARSE_MAX", sparse_max)
+            assert _witnesses_for_delta(P, delta, rad(delta)) == expected
 
 
 @PROPS
@@ -134,13 +135,21 @@ def test_ed2_witnesses_lie_in_the_class_minus_one_mod_5_rad_delta(P, delta):
 
 
 @PROPS
-@given(P=st.integers(2 * 10**5, 3 * 10**6), lo=st.integers(1, 8), width=st.integers(0, 40))
-def test_ed2_search_is_trial_division_over_a_range(P, lo, width):
+@given(
+    P=st.integers(2 * 10**5, 3 * 10**6),
+    lo=st.integers(1, 8),
+    width=st.integers(0, 40),
+    segment=st.sampled_from([1, 3, 7, ed2_mod._SEGMENT]),
+)
+def test_ed2_search_is_trial_division_over_a_range(P, lo, width, segment):
     # delta = 1 is dense from P = 2e5 on, and a delta with a large
-    # radical sparse, so most ranges mix both listings
+    # radical sparse, so most ranges mix both listings; short segments
+    # put segment edges, and segments of one delta, inside the range
     assume(P % 5)
     expected = [w for d in range(lo, lo + width + 1) for w in trial_division_witnesses(P, d)]
-    assert ed2_search(P, lo + width, lo) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ed2_mod, "_SEGMENT", segment)
+        assert ed2_search(P, lo + width, lo) == expected
 
 
 def test_ed2_search_mixes_sparse_and_dense_classes():
@@ -150,23 +159,14 @@ def test_ed2_search_mixes_sparse_and_dense_classes():
     assert ed2_search(P, hi) == expected
 
 
-def test_ed2_search_sieves_when_enough_classes_are_dense(monkeypatch):
-    # 1,187 of these 1,500 deltas are dense: their N are factored by one
-    # sieve over the progression, the rest divided
+def test_ed2_search_matches_the_factored_listing_on_dense_classes(monkeypatch):
+    # 1,187 of these 1,500 deltas are dense and the rest divided; the
+    # search must list what factorize(N) lists at every delta
     P, hi = 200000033, 1500
-    assert sum(is_dense(P, d) for d in range(1, hi + 1)) >= _SIEVE_MIN_LENGTH
-    sieved = []
-    progression = ed2_mod.factorize_progression
-    monkeypatch.setattr(
-        ed2_mod, "factorize_progression", lambda a, m, n: sieved.append(n) or progression(a, m, n)
-    )
-    expected = [
-        w
-        for d in range(1, hi + 1)
-        for w in _witnesses_for_delta(P, d, factorize(5 * P * d + 1), rad(d))
-    ]
-    assert ed2_search(P, hi) == expected
-    assert len(sieved) == 1 and sieved[0] >= _SIEVE_MIN_LENGTH
+    assert sum(is_dense(P, d) for d in range(1, hi + 1)) == 1187
+    expected = ed2_search(P, hi)
+    monkeypatch.setattr(ed2_mod, "_SPARSE_MAX", -1)
+    assert [w for d in range(1, hi + 1) for w in _witnesses_for_delta(P, d, rad(d))] == expected
 
 
 @PROPS

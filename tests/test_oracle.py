@@ -204,7 +204,7 @@ def test_engine_equality_at_spot_primes(oracle):
                 rad = prod(p for p, _ in factorize(delta).factors)
                 hits = [
                     w
-                    for w in _witnesses_for_delta(P, delta, factorize(5 * P * delta + 1), rad)
+                    for w in _witnesses_for_delta(P, delta, rad)
                     if (w.b, w.c) == (b, c)
                 ]
             else:

@@ -76,7 +76,7 @@ def test_oracle_is_independent_of_the_engines():
     path = SRC / "oracle.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _serp_imports(tree) <= {"arith", "errors", "solution"}
-    # nor on the progression sieve that feeds ed1 and ed2
+    # nor on the progression sieve that feeds ed1
     assert "factorize_progression" not in path.read_text()
 
 
