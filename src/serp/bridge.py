@@ -1,33 +1,36 @@
-"""Checked conversion formulas between the two witness shapes.
+"""Conversions between the two witness shapes.
 
-Forward (two-multiple -> one-multiple):
+Forward (two-multiple -> one-multiple) is decided by one check and
+builds no candidate.  Its formulas gamma = (5c - 1)/P,
+u = gamma*A - c, v = gamma*B - c need P | 5c - 1, and:
 
-    gamma = (5c - 1)/P,   u = gamma*A - c,   v = gamma*B - c
+* a kernel-valid two-multiple witness has (5b-1)(5c-1) = 5P*delta + 1
+  = 1 (mod P), so P never divides 5c - 1;
+* past that check, (v + c)/gamma = B = bP, so the one-multiple
+  candidate keeps a multiple of P in place of A or B, which a
+  one-multiple witness excludes.
+
+So no input maps, and the result only names which of the two holds.
 
 Reverse (one-multiple -> two-multiple):
 
     A = (u + c)/gamma,   b = (v + c)/(gamma*P),   delta = b*c/A
 
-Both directions apply the formulas only after checking every
-divisibility precondition, then re-verify the target kernel; failures
-come back as values, never exceptions.  For kernel-valid two-multiple
-witnesses (5b-1)(5c-1) = 1 (mod P), so P never divides 5c - 1 and the
-forward direction always fails its precondition; the tests pin that
-down rather than hiding it.
+applies the formulas only after checking every divisibility
+precondition, then re-verifies the target kernel.  Failures come back
+as values, never exceptions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .ed1 import Ed1Witness, ed1_reconstruct
 from .ed2 import Ed2Witness, ed2_reconstruct, pair_from_divisor
 from .errors import SerpError
 
 
 class BridgeResult(namedtuple("BridgeResult", "witness reason", defaults=(None, None))):
-    """Either a mapped witness (an Ed1Witness or Ed2Witness) or the
-    first failed precondition, as reason."""
+    """Either a mapped Ed2Witness or, as reason, why none maps."""
 
     __slots__ = ()
 
@@ -40,24 +43,13 @@ class BridgeResult(namedtuple("BridgeResult", "witness reason", defaults=(None, 
 
 
 def convolve_ed2_to_ed1(w: Ed2Witness) -> BridgeResult:
-    """Apply the forward formulas; Mapped only if a full one-multiple
-    witness re-verifies."""
+    """Never mapped.  A kernel-valid witness fails P | 5c - 1, since
+    (5b-1)(5c-1) = 1 (mod P); any other input would keep B = bP, a
+    multiple of P, in the one-multiple candidate."""
     s = 5 * w.c - 1
     if s % w.P:
         return BridgeResult(reason=f"{w.P} does not divide 5c - 1 = {s}")
-    gamma = s // w.P
-    u = gamma * w.A - w.c
-    v = gamma * w.B - w.c
-    if u <= 0 or v <= 0:
-        return BridgeResult(reason=f"non-positive pair u = {u}, v = {v}")
-    if u > v:
-        u, v = v, u
-    candidate = Ed1Witness(w.P, gamma, w.c, u, v)
-    try:
-        ed1_reconstruct(candidate)
-    except SerpError as exc:
-        return BridgeResult(reason=f"target kernel re-verification failed: {exc}")
-    return BridgeResult(witness=candidate)
+    return BridgeResult(reason=f"B = bP = {w.B} is a multiple of {w.P}")
 
 
 def anticonvolve_ed1_to_ed2(

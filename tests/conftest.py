@@ -1,7 +1,8 @@
-import numpy as np
+from bisect import bisect_right
+
 import pytest
 
-from serp._kernels import prime_mask
+from serp.arith import primes_between
 from serp.oracle import enumerate_all_solutions
 from serp.sieve import average_local_params
 
@@ -23,13 +24,13 @@ def oracle():
 @pytest.fixture(scope="session")
 def primes_up_to():
     """Prime lists from one shared sieve, optionally filtered mod 5."""
-    mask = prime_mask(10**6)
+    primes = list(primes_between(2, 10**6))
 
     def get(n, residue_mod5=None):
-        idx = np.flatnonzero(mask[: n + 1])
+        below = primes[: bisect_right(primes, n)]
         if residue_mod5 is not None:
-            idx = idx[idx % 5 == residue_mod5]
-        return [int(p) for p in idx]
+            below = [p for p in below if p % 5 == residue_mod5]
+        return below
 
     return get
 

@@ -42,22 +42,27 @@ class TestConvolve:
 
 @st.composite
 def forward_inputs(draw):
-    """Two-multiple witnesses that pass the forward precondition: a prime
-    P != 5, c with P | 5c - 1, every other field an arbitrary integer."""
+    """Two-multiple witnesses for a prime P != 5: c with P | 5c - 1 (past
+    the forward precondition) or c arbitrary, every other field an
+    arbitrary integer."""
     P = draw(st.sampled_from([p for p in SMALL_PRIMES if p != 5]))
-    c = pow(5, -1, P) + P * draw(st.integers(-10**6, 10**6))
+    if draw(st.booleans()):
+        c = pow(5, -1, P) + P * draw(st.integers(-10**6, 10**6))
+    else:
+        c = draw(st.integers(-10**6, 10**6))
     delta, b, r, s, A = draw(st.tuples(*[st.integers(-10**6, 10**6)] * 5))
     return Ed2Witness(P, delta, b, c, r, s, A)
 
 
 @settings(max_examples=400, deadline=None)
 @given(forward_inputs())
-def test_convolve_past_its_precondition_never_maps(w):
-    # the candidate's small denominators are A and b*P, so P always
-    # divides one of them and the one-multiple reconstruction rejects it
+def test_convolve_never_maps(w):
+    # the reason names the failed precondition exactly when it fails;
+    # past it, the candidate would keep B = bP, a multiple of P
     res = convolve_ed2_to_ed1(w)
-    assert (5 * w.c - 1) % w.P == 0
-    assert not res.mapped and res.witness is None and res.reason
+    assert not res.mapped and res.witness is None
+    fails = bool((5 * w.c - 1) % w.P)
+    assert res.reason.startswith(f"{w.P} does not divide 5c - 1") == fails
 
 
 class TestAnticonvolve:

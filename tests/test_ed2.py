@@ -177,11 +177,12 @@ class TestDeltaOne:
             assert delta_one.least_r(P) == least_r_by_division(P, delta_one.cap), P
         assert len(built) == tables
 
-    # The cap is array('H')'s bound whatever the sieve limit, so the
-    # table still holds every entry at L = 2**20.
-    def test_cap_fits_the_table_at_a_larger_sieve_limit(self, monkeypatch):
-        monkeypatch.setattr(ed2_mod, "_SIEVE_LIMIT", 2**20)
+    # Past isqrt(5*hi + 1) = 0xFFFF the cap stays array('H')'s bound,
+    # up to the last integers the primality test decides.
+    def test_cap_is_the_table_entry_bound_past_1e9(self):
+        assert _DeltaOne(MR_DETERMINISTIC_BOUND - 1).cap == 0xFFFF
         delta_one = _DeltaOne(10**9 + 200_000)
+        assert delta_one.cap == 0xFFFF
         for P in range(10**9 + 7, 10**9 + 2007, 20):
             assert delta_one.least_r(P) == least_r_by_division(P, 65534), P
 
