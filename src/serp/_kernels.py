@@ -1,9 +1,10 @@
 """Prime-sieve kernels in numpy.
 
 prime_mask is a read-only full boolean mask, one arith._sieve_flags
-segment behind a False for 0; class_primes takes its base primes up to
-sqrt(limit) from it and sieves the residue class with the same sieve,
-one segment of SEGMENT members at a time, so memory stays at one segment.
+segment behind a False for 0, refused from its base primes' square on;
+class_primes takes its base primes up to sqrt(limit) from it and sieves
+the residue class with the same sieve, one segment of SEGMENT members
+at a time, so memory stays at one segment.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ SEGMENT = 1 << 18  # class members per class_primes segment
 
 
 def prime_mask(limit: int) -> np.ndarray:
-    """Read-only primality mask over [0, limit], for 1 <= limit < 2**32."""
+    """Read-only primality mask over [0, limit], 1 <= limit < L**2 = 2**32."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    flags = next(_sieve_flags(1, 1, limit, _base_primes(isqrt(limit)), limit))
+    base, square = _base_primes(limit)
+    if limit >= square:
+        raise ValueError(f"a mask is proven only below {square}, got limit = {limit}")
+    flags = next(_sieve_flags(1, 1, limit, base, limit))
     flags[0:0] = b"\0"  # 0 is not prime
     mask = np.frombuffer(flags, dtype=np.bool_)
     mask.setflags(write=False)

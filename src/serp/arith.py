@@ -4,16 +4,16 @@ split.
 
 is_prime is Miller-Rabin with as many fixed witnesses as are proven
 enough for n; factorize strips the primes below 1000 and splits the
-rest with Brent's rho.  _base_primes alone picks sieving primes, all
-below L = 2**16, so primes_between asks is_prime only from L**2 on.
-factorize_progression factors every a + m*j: below 1024 values it
-calls factorize on each, otherwise it sieves out every prime below L,
-takes a cofactor below L**2 as prime and hands a larger one to
-factorize.  Each sieve takes where a prime first divides a + m*j from
-progression_strides; _sieve_flags, the one sieve of Eratosthenes, flags
-exactly the primes once its base primes reach the square root of the
-last value.  All are exact up to ~3.3e24 (the last proven witness
-bound) and raise ValueError past it for an undecided input.
+rest with Brent's rho.  _base_primes alone sizes a sieve: the primes up
+to the square root of its last value, below L = 2**16, and their
+square, below which a value none of them divides is 1 or prime.  Past
+it primes_between asks is_prime, and factorize_progression (from 1024
+values on) and _radicals ask factorize.  Each sieve takes where a prime
+first divides a + m*j from progression_strides; _sieve_flags, the one
+sieve of Eratosthenes, flags exactly the primes once its base primes
+reach the square root of the last value.  All are exact up to ~3.3e24
+(the last proven witness bound) and raise ValueError past it for an
+undecided input.
 divisors_in_class lists one residue class of divisors by meeting in the
 middle.
 
@@ -206,10 +206,8 @@ _TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
 _SEGMENT = 1 << 16  # integers per primes_between segment
 _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
 
-# factorize_progression strips every prime below _SIEVE_LIMIT, so a
-# cofactor below _SIEVE_SQUARE is prime.
+# Every sieve's base primes stop below _SIEVE_LIMIT (see _base_primes).
 _SIEVE_LIMIT = 1 << 16
-_SIEVE_SQUARE = _SIEVE_LIMIT * _SIEVE_LIMIT
 _SIEVE_SEGMENT = 512  # values per factorize_progression segment
 _SIEVE_MIN_LENGTH = 1024  # shorter progressions are factored value by value
 _INVERSE_BATCH = 16  # base primes whose product shares one modular inverse
@@ -257,9 +255,9 @@ def factorize(n: int) -> Factorization:
     to find.  A part past the deterministic primality range (~3.3e24)
     raises ValueError.  ED1 factors its parameter range with
     factorize_progression, which calls this for short ranges and for
-    the cofactors its sieve leaves at or above 2**32; ED2 calls this for
-    each N whose divisor class is too dense to divide, the oracle once
-    per A.  Each lists divisors in one residue class with
+    the cofactors its sieve leaves at or above its base primes' square;
+    ED2 for each N whose divisor class is too dense to divide, the
+    oracle once per A.  Each lists divisors in one residue class with
     Factorization.divisors_in_class.
     """
     if n < 1:
@@ -291,32 +289,31 @@ def factorize(n: int) -> Factorization:
 def primes_between(lo: int, hi: int) -> Iterator[int]:
     """The primes p with lo <= p <= hi, ascending, as a generator.
 
-    _sieve_flags sieves [lo, hi] by every prime up to isqrt(hi) below
-    _SIEVE_LIMIT, one segment of _SEGMENT integers at a time.  So a
-    survivor below _SIEVE_SQUARE = 2**32 is prime, and is_prime is asked
-    only at or above 2**32.  Memory stays at one segment whatever the
-    range, and the generator yields each segment's primes before it
-    sieves the next.
+    _sieve_flags sieves [lo, hi] by _base_primes(hi), one segment of
+    _SEGMENT integers at a time, so is_prime is asked only about a
+    survivor at or above their square (2**32 at most).  Memory stays at
+    one segment whatever the range, and the generator yields each
+    segment's primes before it sieves the next.
     """
     lo = max(lo, 2)
-    base = _base_primes(min(isqrt(max(hi, 0)), _SIEVE_LIMIT - 1))
+    base, square = _base_primes(hi)
     for flags in _sieve_flags(lo, 1, hi - lo + 1, base, _SEGMENT):
         for n in compress(range(lo, lo + len(flags)), flags):
-            if n < _SIEVE_SQUARE or is_prime(n):
+            if n < square or is_prime(n):
                 yield n
         lo += len(flags)
 
 
-def _base_primes(k: int) -> Sequence[int]:
-    """Every prime <= k < _SIEVE_LIMIT, ascending: a slice of _TRIAL_PRIMES
-    below _TRIAL_LIMIT, else sieved afresh in one segment over [2, k] by
-    the primes up to isqrt(k), a smaller request."""
-    if k >= _SIEVE_LIMIT:
-        raise ValueError(f"base primes stop below {_SIEVE_LIMIT}, got k = {k}")
+def _base_primes(last: int) -> tuple[Sequence[int], int]:
+    """Every prime <= k = min(isqrt(last), _SIEVE_LIMIT - 1), ascending,
+    and (k + 1)**2, below which a value none of them divides is 1 or
+    prime.  Below _TRIAL_LIMIT a slice of _TRIAL_PRIMES, else sieved
+    afresh over [2, k] by _base_primes(k)'s, a smaller request."""
+    k = min(isqrt(max(last, 0)), _SIEVE_LIMIT - 1)
     if k < _TRIAL_LIMIT:
-        return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, k)]
-    flags = next(_sieve_flags(2, 1, k - 1, _base_primes(isqrt(k)), k))
-    return array("I", compress(range(2, k + 1), flags))
+        return _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, k)], (k + 1) ** 2
+    flags = next(_sieve_flags(2, 1, k - 1, _base_primes(k)[0], k))
+    return array("I", compress(range(2, k + 1), flags)), (k + 1) ** 2
 
 
 def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
@@ -328,12 +325,12 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
     the quadratic sieve's idea in degree one (Pomerance, EUROCRYPT
     '84), one segment at a time as it is consumed: a prime p that does
     not divide m divides a + m*j exactly when j = -a * m**-1 (mod p),
-    and one that divides m divides every value or none.  So every prime
-    below _SIEVE_LIMIT (L = 2**16) is struck from a segment of
-    _SIEVE_SEGMENT values at once, from the first index that
-    progression_strides gives, the prime itself included.  The primes
-    are struck in ascending order, so each value's factors come out
-    sorted.  A cofactor below L**2 is then prime without a primality
+    and one that divides m divides every value or none.  So each of
+    _base_primes(last value) is struck from a segment of _SIEVE_SEGMENT
+    values at once, from the first index that progression_strides
+    gives, the prime itself included.  The primes are struck in
+    ascending order, so each value's factors come out sorted.  A
+    cofactor below their square is then prime without a primality
     test, and a larger one goes to factorize.  A value past
     MR_DETERMINISTIC_BOUND goes whole to factorize, which decides or
     refuses it as it would alone.
@@ -350,8 +347,9 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
 def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
     # A prime whose first index is at or past n strikes nothing: drop it
     # once, before the first segment.
+    base, square = _base_primes(a + m * (n - 1))
     primes, strides, first = array("I"), array("I"), array("I")
-    for p, stride, j in zip(*progression_strides(a, m, _base_primes(_SIEVE_LIMIT - 1))):
+    for p, stride, j in zip(*progression_strides(a, m, base)):
         if j < n:
             primes.append(p)
             strides.append(stride)
@@ -376,11 +374,30 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
             if value >= MR_DETERMINISTIC_BOUND:
                 yield factorize(value)
                 continue
-            if rest >= _SIEVE_SQUARE:
+            if rest >= square:
                 factors += factorize(rest).factors
             elif rest > 1:
                 factors.append((rest, 1))
             yield Factorization(value, tuple(factors))
+
+
+def _radicals(lo: int, n: int) -> list[int]:
+    """rad(d) for d in [lo, lo + n), lo >= 1, by one sieve whose base
+    primes stop at max(n, 999): a larger prime divides at most one d,
+    and factorize finds it in the leftover."""
+    primes, square = _base_primes(min(lo + n - 1, max(n, _TRIAL_LIMIT - 1) ** 2))
+    rads, rests = [1] * n, list(range(lo, lo + n))
+    for p in primes:
+        for i in range(-lo % p, n, p):
+            rads[i] *= p
+            q = rests[i] // p
+            while q % p == 0:
+                q //= p
+            rests[i] = q
+    for i, q in enumerate(rests):
+        if q > 1:
+            rads[i] *= q if q < square else prod(p for p, _ in factorize(q).factors)
+    return rads
 
 
 def progression_strides(a: int, m: int, primes: Sequence[int]) -> tuple[array, array, array]:

@@ -9,8 +9,8 @@ r = s = 4 (mod 5).  Only r = -1 (mod 5*rad(delta)) can pass delta | b*c
 (see _witnesses_for_delta), so just that class of divisors of
 N = 5*P*delta + 1 up to sqrt(N) is listed: by dividing N by each member
 where the class has at most _SPARSE_MAX of them, else from
-factorize(N).  rad(delta) comes from one small sieve over each segment
-of the delta range, one delta being a segment of one.
+factorize(N).  rad(delta) comes from arith._radicals, one small sieve
+over each segment of the delta range, one delta being a segment of one.
 pair_from_divisor, the only code that turns a divisor into a witness,
 rebuilds b = (r+1)/5 and c = (s+1)/5 and still checks delta | b*c,
 which the class implies for squarefree delta only.  The normalized
@@ -39,16 +39,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
-from .arith import (
-    _SEGMENT,
-    _SIEVE_LIMIT,
-    _SIEVE_SQUARE,
-    _base_primes,
-    factorize,
-    squarefree_split,
-)
+from .arith import _SEGMENT, _radicals, factorize, squarefree_split
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -102,24 +95,6 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
         for delta, rad in enumerate(rads, lo):
             out += _witnesses_for_delta(P, delta, rad)
     return out
-
-
-def _radicals(lo: int, n: int) -> list[int]:
-    """rad(d) for d in [lo, lo + n), lo >= 1, by one sieve with the
-    primes up to isqrt(lo + n - 1) (below _SIEVE_LIMIT): what is left of
-    d below _SIEVE_SQUARE is 1 or prime."""
-    rads, rests = [1] * n, list(range(lo, lo + n))
-    for p in _base_primes(min(isqrt(lo + n - 1), _SIEVE_LIMIT - 1)):
-        for i in range(-lo % p, n, p):
-            rads[i] *= p
-            q = rests[i] // p
-            while q % p == 0:
-                q //= p
-            rests[i] = q
-    for i, q in enumerate(rests):
-        if q > 1:
-            rads[i] *= q if q < _SIEVE_SQUARE else prod(p for p, _ in factorize(q).factors)
-    return rads
 
 
 def _witnesses_for_delta(P: int, delta: int, rad: int) -> list[Ed2Witness]:

@@ -1,5 +1,5 @@
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -195,13 +195,18 @@ class TestPrimesBetween:
         assert asked if hi >= 2**32 else not asked
         assert all(n >= 2**32 for n in asked)
 
-    # below 1000 a slice of the trial primes, from 1000 on a fresh sieve
+    # every prime up to k = isqrt(last), capped below L = 2**16: below 1000
+    # a slice of the trial primes, from 1000 on a fresh sieve
     @settings(max_examples=150, deadline=None)
-    @given(k=st.one_of(
-        st.integers(0, 2**16 - 1), st.sampled_from([0, 1, 2, 999, 1000, 1009, 2**16 - 1])
+    @given(last=st.one_of(
+        st.integers(-1, 2**34),
+        st.sampled_from([0, 1, 3, 4, 999**2, 1000**2 - 1, 1000**2, 1009**2, 2**32 - 1, 2**32]),
     ))
-    def test_base_primes_are_every_prime_up_to_k(self, sympy, k):
-        assert list(arith._base_primes(k)) == list(sympy.primerange(2, k + 1))
+    def test_base_primes_are_every_prime_up_to_k(self, sympy, last):
+        k = min(isqrt(max(last, 0)), 2**16 - 1)
+        primes, square = arith._base_primes(last)
+        assert list(primes) == list(sympy.primerange(2, k + 1))
+        assert square == (k + 1) ** 2
 
 
 class TestModInverse:
@@ -411,7 +416,9 @@ class TestFactorizeProgression:
     def test_short_range_builds_no_base_primes(self, monkeypatch):
         requested = []
         base_primes = arith._base_primes
-        monkeypatch.setattr(arith, "_base_primes", lambda k: requested.append(k) or base_primes(k))
+        monkeypatch.setattr(
+            arith, "_base_primes", lambda last: requested.append(last) or base_primes(last)
+        )
         a, m = ENGINE_PROGRESSIONS[0]
         n = arith._SIEVE_MIN_LENGTH - 1
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
@@ -433,10 +440,11 @@ class TestFactorizeProgression:
 
     def test_more_base_primes_than_an_unsigned_short_holds(self, monkeypatch):
         # 2**20 gives 82,025 base primes, more than 65,535; and isqrt(L) >=
-        # 1000, so primes_between's own base primes are sieved in turn
+        # 1000, so _base_primes' own base primes are sieved in turn.  L is
+        # the one constant to patch: _base_primes derives the square.
         monkeypatch.setattr(arith, "_SIEVE_LIMIT", 2**20)
-        monkeypatch.setattr(arith, "_SIEVE_SQUARE", 2**40)
-        assert len(arith._base_primes(2**20 - 1)) == 82_025
+        primes, square = arith._base_primes(2**40)
+        assert (len(primes), square) == (82_025, 2**40)
         a, m = 5 * 1_000_000_021 + 1, 5 * 1_000_000_021  # ED2's N(delta)
         n = arith._SIEVE_MIN_LENGTH + 100
         assert list(factorize_progression(a, m, n)) == progression_by_factorize(a, m, n)
@@ -547,6 +555,20 @@ class TestFactorize:
         assert f.n == 56 * 56
         assert f.factors == ((2, 6), (7, 2))
         assert f.divisors() == brute_divisors(56 * 56)
+
+
+class TestRadicals:
+    # small lo sieve by primes up to isqrt(lo + n - 1); large lo by the
+    # primes up to max(n, 999), leaving what is past them to factorize
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lo=st.one_of(st.integers(1, 3000), st.integers(10**6, 10**13)),
+        n=st.one_of(st.integers(0, 3), st.integers(0, 1200)),
+    )
+    def test_matches_factorize(self, lo, n):
+        assert arith._radicals(lo, n) == [
+            prod(p for p, _ in factorize(d).factors) for d in range(lo, lo + n)
+        ]
 
 
 class TestSquarefreeSplit:

@@ -125,7 +125,7 @@ class TestDecompose:
         assert (code, out) == (1, "")
         assert capsys.readouterr().err == f"no solution for P = 181 within {bounds}\n"
 
-    def test_env_override(self):
+    def test_delta_max_flag(self):
         # --delta-max overrides P's default bound
         code, out = run_cli(
             "decompose", "31", "--method", "ed2", "--all", "--delta-max", "1", "--format", "json"
@@ -137,7 +137,7 @@ class TestDecompose:
         )
         assert len(json_lines(out)) == 2
 
-    def test_gamma_env_override(self):
+    def test_gamma_max_flag(self):
         # --gamma-max overrides P's default bound
         code, out = run_cli(
             "decompose", "11", "--method", "ed1", "--all", "--gamma-max", "4", "--format", "json"

@@ -23,12 +23,16 @@ def test_mask_is_readonly():
 
 
 @pytest.mark.parametrize(
-    "limit, message", [(0, "limit must be >= 1"), (2**32, "base primes stop below 65536")]
+    "limit, message", [(0, "limit must be >= 1"), (2**32, "a mask is proven only below 4294967296")]
 )
-def test_mask_refuses_limits_its_base_primes_cannot_sieve(limit, message):
-    # the base primes stop below 2**16, which proves a mask only below 2**32
+def test_mask_refuses_limits_its_base_primes_cannot_sieve(monkeypatch, limit, message):
+    # the base primes stop below 2**16, which proves a mask only below
+    # 2**32; the refusal comes before the mask's segment is sieved
+    sieved = []
+    monkeypatch.setattr(_kernels, "_sieve_flags", lambda *a: sieved.append(a[:3]))
     with pytest.raises(ValueError, match=message):
         prime_mask(limit)
+    assert sieved == []
 
 
 class TestClassPrimes:
