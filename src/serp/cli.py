@@ -17,8 +17,8 @@ as the sieve formats them, so that object is never held whole.
 Modules load with the subcommand that runs them: numpy with json stats
 alone (sieve, and csv and table stats, count class rows from a bytearray
 sieve), serp.tables and serp.bridge with table and csv solution rows
-alone.  scan takes the first ED2 step, delta = 1, of every prime from
-ed2._DeltaOne.
+alone.  scan takes the first ED2 steps, delta = 1, 2 and 3, of every
+prime from ed2._SmallDeltas.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation; 141 (128 +
@@ -36,7 +36,7 @@ from collections.abc import Iterable
 
 from .arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
-from .ed2 import _DeltaOne, default_delta_max, ed2_reconstruct, ed2_search
+from .ed2 import _SmallDeltas, default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError, WrongResidue
 from .explicit import decompose_explicit, repair_distinct
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
@@ -163,12 +163,12 @@ def _bounds_for(P: int, args) -> tuple[int, int]:
             default_delta_max(P) if args.delta_max is None else args.delta_max)
 
 
-def _decompose(P: int, args, want_all: bool, delta_one: _DeltaOne | None = None) -> list[Solution]:
+def _decompose(P: int, args, want_all: bool, small: _SmallDeltas | None = None) -> list[Solution]:
     """P's solutions by args.method, --weak and the bounds: the one rule
     of which primes a method covers.  Before any search it raises
     WrongResidue for a prime out of the method's scope, and it reads the
-    bounds only when an engine runs.  A scan's delta_one answers the
-    first ED2 step, delta = 1, where it can; the result is the same."""
+    bounds only when an engine runs.  A scan's small answers the first
+    ED2 steps, delta = 1, 2 and 3, where it can; the result is the same."""
     method, residue = args.method, P % 5
     if residue == 0:
         raise WrongResidue(f"P = {P} is out of scope (5 divides P)")
@@ -180,8 +180,8 @@ def _decompose(P: int, args, want_all: bool, delta_one: _DeltaOne | None = None)
     if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
     delta_first = 1  # the first ED2 step left to search
-    if delta_one is not None and not want_all and method in ("auto", "ed2"):
-        w, delta_first = delta_one.first(P)
+    if small is not None and not want_all and method in ("auto", "ed2"):
+        w, delta_first = small.first(P, args.delta_max)
         if w is not None:
             return [ed2_reconstruct(w)]
     gamma_max, delta_max = _bounds_for(P, args)
@@ -242,7 +242,7 @@ def cmd_verify(args, out) -> int:
 def cmd_scan(args, out) -> int:
     """decompose's first hit for every prime in [--from, --to], each
     record written as it is found, and the misses on stderr at the end.
-    Where ED2 runs, ed2._DeltaOne answers its delta = 1 step."""
+    Where ED2 runs, ed2._SmallDeltas answers its delta = 1, 2 and 3 steps."""
     if args.to < getattr(args, "from"):
         raise SerpError("--to must be >= --from")
     if args.to >= MR_DETERMINISTIC_BOUND:
@@ -251,12 +251,12 @@ def cmd_scan(args, out) -> int:
             "the end of the deterministic primality range"
         )
     misses = []
-    delta_one = _DeltaOne(args.to)
+    small = _SmallDeltas(args.to)
 
     def solutions():
         for P in primes_between(getattr(args, "from"), args.to):
             try:
-                found = _decompose(P, args, False, delta_one)
+                found = _decompose(P, args, False, small)
             except WrongResidue:  # out of the method's scope
                 continue
             if found:

@@ -19,19 +19,23 @@ delta = alpha * dprime**2 (alpha squarefree); a row is canonical when
 g = alpha*dprime, b' + c' = m*dprime and A = alpha*b'*c', where
 m = 5A - P.
 
-A scan answers delta = 1 for a whole window at once.  With
-b = (r + 1)/5, r divides 5P + 1 exactly when P = -b (mod r), since
-5b = r + 1 = 1 (mod r): for each r = 4 (mod 5), the primes that hit at
-delta = 1 through r form one progression class.  _delta_one_table
-strikes these classes over one segment of the window and keeps the
-least r of each P, for r up to min(isqrt(5*to + 1), 65534), the largest
-such r that array('H') holds.  The
-cofactor of r is = 4 (mod 5) too, so the least r never exceeds
-isqrt(5P + 1).  _DeltaOne reads P's entry: an r is
-ed2_search(P, 1, 1)'s first witness; no r while the cap reaches
-isqrt(5P + 1) means delta = 1 has no witness; only no r under a cap
-below isqrt(5P + 1) (P past about 8.6e8) leaves delta = 1 to the
-search.  Memory stays at one segment of the window.
+A scan answers delta = 1, 2 and 3 for a whole window at once.  With
+k = (r + 1)/(5*delta), r divides 5*P*delta + 1 exactly when P = -k
+(mod r), since 5*delta*k = r + 1 = 1 (mod r): for each r = -1
+(mod 5*delta), the primes that hit at delta through r form one
+progression class.  _small_delta_table strikes these classes over one
+segment of the window, delta = 3, then 2, then 1, and keeps the least
+delta's least r of each P, for r up to min(isqrt(5*delta*to + 1),
+65535), the largest entry array('H') holds (no delta past the first
+whose cap is below isqrt(5*delta*to + 1)).  The cofactor of r is in
+its class too, so the least r never exceeds isqrt(5*P*delta + 1).
+_SmallDeltas reads P's entry and walks delta up to 3 and delta_max:
+an r that divides 5*P*delta + 1 is ed2_search(P, delta, delta)'s first
+witness; no r while the cap reaches isqrt(5*P*delta + 1) means delta
+has no witness; only no r under a cap below it (P past about
+8.6e8/delta) leaves delta to the search.  Each of 1, 2 and 3 is
+squarefree, so the class alone gives delta | b*c.  Memory stays at one
+segment of the window.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ NormalizedEd2 = namedtuple("NormalizedEd2", "g bprime cprime alpha dprime m cano
 # N member by member.  A division costs about 40 ns and factorize(N)
 # 8 us or more, so dividing costs at most about one factorization.
 _SPARSE_MAX = 200
+
+# The deltas a scan's window table answers, least first.
+_TABLE_DELTAS = (1, 2, 3)
 
 
 def default_delta_max(P: int) -> int:
@@ -138,49 +145,73 @@ def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
     return Ed2Witness(P, delta, b, c, r, s, b * c // delta)
 
 
-def _delta_one_table(lo: int, n: int, cap: int) -> array:
-    """For P = lo + i, i < n: the least r = 4 (mod 5), r <= cap, that
-    divides 5P + 1, or 0 when none does; cap must fit array('H').
+def _small_delta_table(lo: int, n: int, caps: list[int]) -> array:
+    """For P = lo + i, i < n: the least r of the least delta <= len(caps)
+    with r = -1 (mod 5*delta), r <= caps[delta - 1] and r dividing
+    5*P*delta + 1, or 0 when no such delta has one; each cap must fit
+    array('H').
 
-    r divides 5P + 1 exactly when P = -(r + 1)/5 (mod r).  Each class is
-    one slice assignment, from the largest r down to 4, so the least r
-    is the one left in each entry.
+    With k = (r + 1)/(5*delta), 5*delta*k = r + 1 = 1 (mod r), so r
+    divides 5*P*delta + 1 exactly when P = -k (mod r).  Each class is
+    one slice assignment, the largest delta first and each delta's r
+    from the largest down, so the least delta's least r is the one left
+    in each entry.
     """
     table = array("H", (0,)) * n
-    for r in range(cap - (cap + 1) % 5, 3, -5):
-        first = (-(r + 1) // 5 - lo) % r
-        if first < n:
-            table[first::r] = array("H", (r,)) * len(range(first, n, r))
+    for delta, cap in reversed(tuple(enumerate(caps, 1))):
+        M = 5 * delta
+        for r in range(cap - (cap + 1) % M, 3, -M):
+            first = (-((r + 1) // M) - lo) % r
+            if first < n:
+                table[first::r] = array("H", (r,)) * len(range(first, n, r))
     return table
 
 
-class _DeltaOne:
-    """ED2 at delta = 1 for the primes of a window that ends at hi, read
-    from one _delta_one_table of at most _SEGMENT integers at a time.  A
-    prime the current table does not cover starts the next one, so
-    primes asked in ascending order build each table once."""
+class _SmallDeltas:
+    """ED2 at delta = 1, 2 and 3 for the primes of a window that ends at
+    hi, read from one _small_delta_table of at most _SEGMENT integers at
+    a time.  A prime the current table does not cover starts the next
+    one, so primes asked in ascending order build each table once."""
 
     def __init__(self, hi: int):
-        # capped at the largest entry array('H') holds
-        self.hi, self.cap = hi, min(isqrt(5 * max(hi, 0) + 1), 0xFFFF)
+        self.hi, self.caps = hi, []
+        for delta in _TABLE_DELTAS:
+            root = isqrt(5 * delta * max(hi, 0) + 1)
+            self.caps.append(min(root, 0xFFFF))  # the largest entry array('H') holds
+            if root > 0xFFFF:  # delta left undecided near hi, so no later delta is read there
+                break
         self.lo, self.table = 0, array("H")
 
     def least_r(self, P: int) -> int:
-        """P's entry of _delta_one_table(P, 1, self.cap)."""
+        """P's entry of _small_delta_table(P, 1, self.caps)."""
         if 0 <= P - self.lo < len(self.table):
             return self.table[P - self.lo]
         self.lo, self.table = P, array("H")  # never hold two tables at once
-        self.table = _delta_one_table(P, min(_SEGMENT, self.hi - P + 1), self.cap)
+        self.table = _small_delta_table(P, min(_SEGMENT, self.hi - P + 1), self.caps)
         return self.table[0]
 
-    def first(self, P: int) -> tuple[Ed2Witness | None, int]:
-        """ed2_search(P, 1, 1)'s first witness, or None and the least
-        delta left to search: 2 when delta = 1 has no witness, 1 when the
-        table cannot tell (or b = c, as at P = 3)."""
-        r = self.least_r(P)
-        if r:  # r <= isqrt(5P + 1): its cofactor is = 4 (mod 5) too, and no smaller
-            return pair_from_divisor(P, 1, r), 1
-        return None, 2 if self.cap >= isqrt(5 * P + 1) else 1
+    def first(self, P: int, delta_max: int | None) -> tuple[Ed2Witness | None, int]:
+        """ed2_search(P, delta_max)'s first witness when its delta is at
+        most 3, else None and the least delta left to search.  delta_max
+        None is default_delta_max(P), which is 8 or more from P = 7 on.
+
+        The entry r divides 5*P*delta + 1 for one delta at most: r
+        dividing it at d < e would divide e*(5*P*d + 1) - d*(5*P*e + 1)
+        = e - d, 1 or 2.  So, delta by delta from 1: one that r divides
+        answers with r, its least divisor in class; one that r does not
+        divide has no witness when its cap reaches isqrt(5*P*delta + 1),
+        else it is left to the search, as is the pair b = c (as at P = 3).
+        """
+        if delta_max is None:
+            delta_max = len(_TABLE_DELTAS) if P >= 7 else default_delta_max(P)
+        r, delta = self.least_r(P), 0
+        for delta, cap in zip(_TABLE_DELTAS[:delta_max], self.caps):
+            N = 5 * P * delta + 1
+            if r and N % r == 0:
+                return pair_from_divisor(P, delta, r), delta
+            if cap < isqrt(N):
+                return None, delta
+        return None, delta + 1
 
 
 def ed2_case_a(P: int, delta: int, S: list[int]) -> Solution | None:

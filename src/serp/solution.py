@@ -57,10 +57,11 @@ def verify_solution(P: int, A: int, B: int, C: int) -> bool:
 
 def make_solution(P: int, A: int, B: int, C: int, cls: SolutionClass) -> Solution:
     """Sort the denominators, verify exactly, and record strictness."""
-    A, B, C = sorted((A, B, C))
+    if not A <= B <= C:
+        A, B, C = sorted((A, B, C))
     if not verify_solution(P, A, B, C):
         raise InvalidSolution(f"1/{A} + 1/{B} + 1/{C} != 5/{P}")
-    return Solution(P, A, B, C, cls, strict=A < B < C)
+    return Solution(P, A, B, C, cls, A < B < C)  # positional: namedtuple's keyword path is slower
 
 
 # How many of the denominators P divides, and where: positions is a

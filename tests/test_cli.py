@@ -400,16 +400,56 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SCAN_SHA256[argv]
 
+    # (exit code, sha256 of stdout, sha256 of stderr) of `scan --from 7
+    # --to 20000 --format json` by (--delta-max, --method), recorded
+    # before scan read delta = 2 and 3 from its table: a table that
+    # answered past --delta-max would change them
+    SCAN_BOUNDED_SHA256 = {
+        ("1", "auto"): (0, "d16a95301fd76158b60cd13d430823f7db8c1842b228800a8a36b49fb4051d08",
+                        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("1", "ed2"): (1, "7670669103d59a39c38880e9e53f3a8ee7f32eb5e90cdc63df4d528268e3b32f",
+                       "a7ca488dc9e2ab80dd51e64bbb55750d77c2d3c0b5c93670b76ead02276a97f2"),
+        ("2", "auto"): (0, "13305c7c501222470fe2142883b3985de314e8fcbe1b1dc05955641775f8a0d9",
+                        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("2", "ed2"): (1, "aa3aa8d24a7eae65131c918c33d97d7f57e52ee167a765b260fe551a8fc27180",
+                       "cf42c325abf29afd37569c62f2325ed57bcdedb16c83f9b43e97f73966010582"),
+    }
+
+    @pytest.mark.parametrize("delta_max, method", sorted(SCAN_BOUNDED_SHA256))
+    def test_bounded_scan_output_is_pinned(self, capsys, delta_max, method):
+        code, out = run_cli("scan", "--from", "7", "--to", "20000", "--delta-max", delta_max,
+                            "--method", method, "--format", "json")
+        digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (out, capsys.readouterr().err))
+        assert (code, *digests) == self.SCAN_BOUNDED_SHA256[delta_max, method]
+
+    # Each prime decomposed alone takes no table, so its rows are those
+    # of the engines' own searches under the same bounds.
+    @pytest.mark.parametrize("method", ["auto", "ed2"])
+    @pytest.mark.parametrize("bounds", [("--delta-max", "1"), ("--delta-max", "2", "--gamma-max", "4")])
+    def test_bounded_scan_writes_the_rows_of_decompose(self, capsys, method, bounds):
+        rows, misses = [], []
+        for P in primes_between(1, 300):
+            code, out = run_cli("decompose", str(P), "--method", method, *bounds, "--format", "json")
+            capsys.readouterr()
+            rows.append(out)
+            if code == 1:
+                misses.append(P)
+        code, out = run_cli("scan", "--from", "1", "--to", "300", "--method", method, *bounds,
+                            "--format", "json")
+        err = capsys.readouterr().err
+        assert out == "".join(rows)
+        assert (code, err) == ((1, f"no solution within bounds for: {misses}\n") if misses else (0, ""))
+
     def test_no_table_is_longer_than_one_segment(self, monkeypatch, capsys):
         lengths = []
-        build = ed2_mod._delta_one_table
+        build = ed2_mod._small_delta_table
 
-        def spy(lo, n, cap):
-            table = build(lo, n, cap)
+        def spy(lo, n, caps):
+            table = build(lo, n, caps)
             lengths.append(len(table))
             return table
 
-        monkeypatch.setattr(ed2_mod, "_delta_one_table", spy)
+        monkeypatch.setattr(ed2_mod, "_small_delta_table", spy)
         code, out = run_cli("scan", "--from", "1", "--to", "140000", "--method", "ed2", "--format", "json")
         assert code == 1 and capsys.readouterr().err == "no solution within bounds for: [3]\n"
         assert hashlib.sha256(out.encode()).hexdigest() == self.SCAN_140000_ED2_SHA256
@@ -417,11 +457,11 @@ class TestScan:
 
     @pytest.mark.parametrize("lo, hi, searched", [(1000, 1175, []), (1176, 1185, [1181])])
     def test_bounds_are_read_only_when_an_engine_runs(self, monkeypatch, lo, hi, searched):
-        # The delta = 1 table answers every P = 1 (mod 5) of the window
-        # but those searched, so only they read their bounds.
-        table = ed2_mod._DeltaOne(hi)
+        # The window table answers every P = 1 (mod 5) of the window but
+        # those searched, so only they read their bounds.
+        table = ed2_mod._SmallDeltas(hi)
         ed2_primes = [P for P in primes_between(lo, hi) if P % 5 == 1]
-        assert ed2_primes and [P for P in ed2_primes if table.first(P)[0] is None] == searched
+        assert ed2_primes and [P for P in ed2_primes if table.first(P, None)[0] is None] == searched
         calls = []
         bounds_for = cli_mod._bounds_for
 

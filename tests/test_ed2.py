@@ -11,8 +11,10 @@ from serp.arith import MR_DETERMINISTIC_BOUND, primes_between
 from serp.ed2 import (
     Ed2Witness,
     NormalizedEd2,
-    _delta_one_table,
-    _DeltaOne,
+    _TABLE_DELTAS,
+    _small_delta_table,
+    _SmallDeltas,
+    default_delta_max,
     ed2_case_a,
     ed2_normalize,
     ed2_reconstruct,
@@ -120,65 +122,88 @@ class TestSearch:
         assert steps == segment and segment
 
 
-def least_r_by_division(P: int, cap: int) -> int:
-    """The least r = 4 (mod 5), r <= cap, dividing 5P + 1, or 0."""
-    return next((r for r in range(4, cap + 1, 5) if (5 * P + 1) % r == 0), 0)
+def least_r_by_division(P: int, caps) -> int:
+    """The least r of the least delta <= len(caps) with r = -1
+    (mod 5*delta), r <= caps[delta - 1] and r dividing 5*P*delta + 1, or 0."""
+    for delta, cap in enumerate(caps, 1):
+        M = 5 * delta
+        r = next((r for r in range(M - 1, cap + 1, M) if (M * P + 1) % r == 0), 0)
+        if r:
+            return r
+    return 0
 
 
 class TestDeltaOne:
+    """The window table a scan reads delta = 1, 2 and 3 from."""
+
     # caps below 4, caps that miss divisors, the seed-0 scan window's
-    # cap, the 65534 cap near 1e9, and the last integers the
-    # primality test decides
+    # cap at delta = 1, the 65534 cap near 1e9, and the last integers
+    # the primality test decides, each at every delta of the table
     @pytest.mark.parametrize("lo, n, cap", [
         (0, 2000, 3), (0, 2000, 4), (0, 3000, 100), (5, 1, 2013), (611072, 600, 2013),
         (10**9, 200, 65534), (MR_DETERMINISTIC_BOUND - 40, 40, 65534),
     ])
     def test_table_is_the_least_divisor(self, lo, n, cap):
-        table = _delta_one_table(lo, n, cap)
-        assert table.tolist() == [least_r_by_division(P, cap) for P in range(lo, lo + n)]
-        # The cofactor of r is = 4 (mod 5) too, so no least r passes isqrt(5P + 1).
-        assert all(r <= isqrt(5 * P + 1) for P, r in zip(range(lo, lo + n), table))
+        caps = [cap] * len(_TABLE_DELTAS)
+        table = _small_delta_table(lo, n, caps)
+        assert table.tolist() == [least_r_by_division(P, caps) for P in range(lo, lo + n)]
+        # The cofactor of r is in r's class too, so no least r passes
+        # isqrt(5*P*delta + 1) at the one delta whose N it divides.
+        for P, r in zip(range(lo, lo + n), table):
+            if r:
+                (N,) = [N for N in (5 * P * d + 1 for d in _TABLE_DELTAS) if N % r == 0]
+                assert r <= isqrt(N), P
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**12), st.integers(0, 300), st.integers(0, 3000))
-    def test_table_property(self, lo, n, cap):
-        assert _delta_one_table(lo, n, cap).tolist() == [
-            least_r_by_division(P, cap) for P in range(lo, lo + n)
+    @given(st.integers(0, 10**12), st.integers(0, 300),
+           st.lists(st.integers(0, 3000), min_size=1, max_size=len(_TABLE_DELTAS)))
+    def test_table_property(self, lo, n, caps):
+        assert _small_delta_table(lo, n, caps).tolist() == [
+            least_r_by_division(P, caps) for P in range(lo, lo + n)
         ]
 
-    # (window, the (hit, least delta left) pairs its primes show): below
-    # 3000 the cap reaches every isqrt(5P + 1), so the table decides
-    # delta = 1; past it, near 1e9 and below MR_DETERMINISTIC_BOUND, an
-    # empty entry leaves delta = 1 to the search
+    # (window, the (hit, least delta left) pairs its primes show at their
+    # default bound): below 3000 the caps reach every isqrt(5*P*delta + 1),
+    # so the table decides delta = 1, 2 and 3, but for b = c (P = 3 at
+    # delta = 1, P = 13 at 3); past it, near 1e9 and below
+    # MR_DETERMINISTIC_BOUND, an empty entry leaves delta = 1 to the search
     @pytest.mark.parametrize("lo, hi, outcomes", [
-        (2, 3000, {(True, 1), (False, 2), (False, 1)}),
+        (2, 3000, {(True, 1), (True, 2), (True, 3), (False, 4), (False, 1), (False, 2), (False, 3)}),
         (10**9, 10**9 + 6000, {(True, 1), (False, 1)}),
         (MR_DETERMINISTIC_BOUND - 230, MR_DETERMINISTIC_BOUND - 1, {(True, 1)}),
     ])
     def test_first_is_ed2_search_at_delta_one(self, lo, hi, outcomes):
-        delta_one, seen = _DeltaOne(hi), {}
+        # first(P, delta_max) is the first step of ed2_search(P, delta_max)
+        # that has a witness, least delta first, at every delta_max
+        small, seen = _SmallDeltas(hi), {}
         for P in primes_between(lo, hi):
             if P == 5:
                 continue
-            w, start = delta_one.first(P)
-            found = ed2_search(P, 1, 1)
-            if w is not None:
-                assert (w, start) == (found[0], 1), P
-            elif start == 2:
-                assert found == [], P
-            else:
-                assert start == 1, P
-            seen[P] = (w is not None, start)
+            # searched only as far as start: near MR_DETERMINISTIC_BOUND
+            # factorize cannot take every 5*P*delta + 1
+            steps = {}
+            for delta_max in (None, 1, 2, 3, 4):
+                top = min(default_delta_max(P) if delta_max is None else delta_max, 3)
+                w, start = small.first(P, delta_max)
+                for d in range(1, start + (w is not None)):
+                    steps.setdefault(d, ed2_search(P, d, d))
+                assert not any(steps[d] for d in range(1, start)), (P, delta_max)
+                if w is not None:
+                    assert start <= top and w == steps[start][0], (P, delta_max)
+                else:
+                    assert start <= top + 1, (P, delta_max)
+                if delta_max is None:
+                    seen[P] = (w is not None, start)
         assert set(seen.values()) == outcomes
-        if lo == 2:  # b = c at P = 3: the search rejects the pair 4 * 4
-            assert seen[3] == (False, 1)
+        if lo == 2:  # b = c: the search rejects the pairs 4 * 4 and 14 * 14
+            assert (seen[3], seen[13]) == ((False, 1), (False, 3))
+            assert seen[2] == (False, 2)  # default_delta_max(2) is 1
         if lo == 10**9:  # a hit through an r past the 65534 cap
             assert seen[1000005029] == (False, 1) and ed2_search(1000005029, 1, 1)
 
-
     # (window, tables built): a window of at most _SEGMENT integers is
     # one table, however few integers it holds against its classes
-    # (13,107 near 1e9 and below MR_DETERMINISTIC_BOUND, 402 for the
+    # (13,107 near 1e9 and below MR_DETERMINISTIC_BOUND, 918 for the
     # last segment of the seed-0 scan window, [807731, 811072]).
     @pytest.mark.parametrize("lo, hi, tables", [
         (MR_DETERMINISTIC_BOUND - 230, MR_DETERMINISTIC_BOUND - 1, 1),
@@ -187,30 +212,34 @@ class TestDeltaOne:
     ])
     def test_window_builds_one_table_per_segment(self, monkeypatch, lo, hi, tables):
         built = []
-        build = ed2_mod._delta_one_table
-        monkeypatch.setattr(ed2_mod, "_delta_one_table", lambda *a: built.append(a) or build(*a))
-        delta_one = _DeltaOne(hi)
+        build = ed2_mod._small_delta_table
+        monkeypatch.setattr(ed2_mod, "_small_delta_table", lambda *a: built.append(a) or build(*a))
+        small = _SmallDeltas(hi)
         for P in primes_between(lo, hi):
-            assert delta_one.least_r(P) == least_r_by_division(P, delta_one.cap), P
+            assert small.least_r(P) == least_r_by_division(P, small.caps), P
         assert len(built) == tables
 
-    # Past isqrt(5*hi + 1) = 0xFFFF the cap stays array('H')'s bound,
-    # up to the last integers the primality test decides.
+    # Past isqrt(5*hi + 1) = 0xFFFF the cap stays array('H')'s bound, up
+    # to the last integers the primality test decides, and delta = 1,
+    # which the table can no longer rule out, is the only delta struck;
+    # below that, each delta's cap reaches 0xFFFF in turn.
     def test_cap_is_the_table_entry_bound_past_1e9(self):
-        assert _DeltaOne(MR_DETERMINISTIC_BOUND - 1).cap == 0xFFFF
-        delta_one = _DeltaOne(10**9 + 200_000)
-        assert delta_one.cap == 0xFFFF
+        assert _SmallDeltas(MR_DETERMINISTIC_BOUND - 1).caps == [0xFFFF]
+        small = _SmallDeltas(10**9 + 200_000)
+        assert small.caps == [0xFFFF]
         for P in range(10**9 + 7, 10**9 + 2007, 20):
-            assert delta_one.least_r(P) == least_r_by_division(P, 65534), P
+            assert small.least_r(P) == least_r_by_division(P, [65534]), P
+        assert _SmallDeltas(5 * 10**8).caps == [50000, 0xFFFF]
+        assert _SmallDeltas(2 * 10**8).caps == [31622, 44721, 54772]
 
     # No table reaches past the end of the window.
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 10**12), st.integers(0, 400), st.integers(1, 40))
     def test_least_r_is_the_tables_entry(self, lo, width, step):
-        delta_one = _DeltaOne(lo + width)
+        small = _SmallDeltas(lo + width)
         for P in range(lo, lo + width + 1, step):
-            assert delta_one.least_r(P) == least_r_by_division(P, delta_one.cap), P
-            assert delta_one.lo + len(delta_one.table) <= lo + width + 1
+            assert small.least_r(P) == least_r_by_division(P, small.caps), P
+            assert small.lo + len(small.table) <= lo + width + 1
 
 
 class TestCaseA:
