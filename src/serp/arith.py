@@ -8,12 +8,13 @@ rest with Brent's rho.  _base_primes alone sizes a sieve: the primes up
 to the square root of its last value, below L = 2**16, and their
 square, below which a value none of them divides is 1 or prime.  Past
 it primes_between asks is_prime, and factorize_progression (from 1024
-values on) and _radicals ask factorize.  Each sieve takes where a prime
-first divides a + m*j from progression_strides; _sieve_flags, the one
-sieve of Eratosthenes, flags exactly the primes once its base primes
-reach the square root of the last value.  All are exact up to ~3.3e24
-(the last proven witness bound) and raise ValueError past it for an
-undecided input.
+values on) asks factorize.  Each sieve takes where a prime first
+divides a + m*j from progression_strides; _sieve_flags, the one sieve
+of Eratosthenes, flags exactly the primes once its base primes reach
+the square root of the last value.  _radical takes rad(d) from one gcd
+with the product of the primes below 1000, as factorize begins.  All
+are exact up to ~3.3e24 (the last proven witness bound) and raise
+ValueError past it for an undecided input.
 divisors_in_class lists one residue class of divisors by meeting in the
 middle.
 
@@ -381,23 +382,21 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
             yield Factorization(value, tuple(factors))
 
 
-def _radicals(lo: int, n: int) -> list[int]:
-    """rad(d) for d in [lo, lo + n), lo >= 1, by one sieve whose base
-    primes stop at max(n, 999): a larger prime divides at most one d,
-    and factorize finds it in the leftover."""
-    primes, square = _base_primes(min(lo + n - 1, max(n, _TRIAL_LIMIT - 1) ** 2))
-    rads, rests = [1] * n, list(range(lo, lo + n))
-    for p in primes:
-        for i in range(-lo % p, n, p):
-            rads[i] *= p
-            q = rests[i] // p
-            while q % p == 0:
-                q //= p
-            rests[i] = q
-    for i, q in enumerate(rests):
-        if q > 1:
-            rads[i] *= q if q < square else prod(p for p, _ in factorize(q).factors)
-    return rads
+def _radical(d: int) -> int:
+    """rad(d), the product of the primes dividing d >= 1.
+
+    g = gcd(d, _TRIAL_PRODUCT) is the product of those below
+    _TRIAL_LIMIT; repeated gcds with g strip them from d // g, and a
+    rest below _TRIAL_SQUARE is then 1 or prime.  A larger rest goes to
+    factorize, so this refuses exactly the values factorize(d) refuses.
+    """
+    g = gcd(d, _TRIAL_PRODUCT)
+    rest = d // g
+    while (h := gcd(rest, g)) > 1:
+        rest //= h
+    if rest < _TRIAL_SQUARE:
+        return g * rest
+    return g * prod(p for p, _ in factorize(rest).factors)
 
 
 def progression_strides(a: int, m: int, primes: Sequence[int]) -> tuple[array, array, array]:

@@ -9,8 +9,8 @@ r = s = 4 (mod 5).  Only r = -1 (mod 5*rad(delta)) can pass delta | b*c
 (see _witnesses_for_delta), so just that class of divisors of
 N = 5*P*delta + 1 up to sqrt(N) is listed: by dividing N by each member
 where the class has at most _SPARSE_MAX of them, else from
-factorize(N).  rad(delta) comes from arith._radicals, one small sieve
-over each segment of the delta range, one delta being a segment of one.
+factorize(N).  rad(delta) comes from arith._radical, one gcd with the
+product of the primes below 1000 and factorize for a larger rest.
 pair_from_divisor, the only code that turns a divisor into a witness,
 rebuilds b = (r+1)/5 and c = (s+1)/5 and still checks delta | b*c,
 which the class implies for squarefree delta only.  The normalized
@@ -45,7 +45,7 @@ from array import array
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .arith import _SEGMENT, _radicals, factorize, squarefree_split
+from .arith import _SEGMENT, _radical, factorize, squarefree_split
 from .errors import KernelViolation, WrongResidue
 from .solution import Solution, SolutionClass, make_solution
 
@@ -90,24 +90,19 @@ def ed2_search(P: int, delta_max: int, delta_min: int = 1) -> list[Ed2Witness]:
     b = c are rejected (they repeat a denominator).  The kernel needs
     nothing from P beyond 5 not dividing it, so any such prime is
     accepted; P = 1 (mod 5) is merely the class with no closed form.
-    A range is searched _SEGMENT deltas at a time, so memory stays flat
-    however wide it is; one delta, as each step of a first-hit search,
-    is a segment of one.
     """
     if P % 5 == 0:
         raise WrongResidue(f"ED2 search needs 5 to not divide P, got P = {P}")
     out = []
-    for lo in range(max(delta_min, 1), delta_max + 1, _SEGMENT):
-        rads = _radicals(lo, min(_SEGMENT, delta_max + 1 - lo))
-        for delta, rad in enumerate(rads, lo):
-            out += _witnesses_for_delta(P, delta, rad)
+    for delta in range(max(delta_min, 1), delta_max + 1):
+        out += _witnesses_for_delta(P, delta)
     return out
 
 
-def _witnesses_for_delta(P: int, delta: int, rad: int) -> list[Ed2Witness]:
-    """The witnesses at delta, given rad = rad(delta).
+def _witnesses_for_delta(P: int, delta: int) -> list[Ed2Witness]:
+    """The witnesses at delta.
 
-    Only r = -1 (mod M), M = 5*rad, can pass delta | b*c: a prime q
+    Only r = -1 (mod M), M = 5*rad(delta), can pass delta | b*c: a prime q
     dividing delta divides N - 1 = r*s - 1, N = 5*P*delta + 1, so q
     divides b = (r + 1)/5 exactly when r = -1 (mod q), exactly when
     s = -1 (mod q), that is, when q divides c (for q = 5, read mod 25).
@@ -116,7 +111,7 @@ def _witnesses_for_delta(P: int, delta: int, rad: int) -> list[Ed2Witness]:
     else from factorize(N).
     """
     N = 5 * P * delta + 1
-    M, root = 5 * rad, isqrt(N)
+    M, root = 5 * _radical(delta), isqrt(N)
     if root // M > _SPARSE_MAX:
         rs = factorize(N).divisors_in_class(M - 1, M, root)
     else:

@@ -557,18 +557,71 @@ class TestFactorize:
         assert f.divisors() == brute_divisors(56 * 56)
 
 
-class TestRadicals:
-    # small lo sieve by primes up to isqrt(lo + n - 1); large lo by the
-    # primes up to max(n, 999), leaving what is past them to factorize
+def rad_by_factorize(d):
+    return prod(p for p, _ in factorize(d).factors)
+
+
+def outcome(f, d):
+    """f(d), or the message of the ValueError it raises."""
+    try:
+        return f(d)
+    except ValueError as e:
+        return str(e)
+
+
+# Rests that Miller-Rabin decides or refuses at once: the largest prime
+# below MR_DETERMINISTIC_BOUND, primes below it near a quarter and a
+# tenth of it, the bound itself (a strong pseudoprime to all thirteen
+# witnesses) and a prime past it, 8292610161699718464855703 (half of
+# 5P + 1 for the prime P = 3317044064679887385942281).
+NEAR_BOUND = (
+    3317044064679887385961813,
+    829261016169971846490481,
+    255157235744606721997073,
+    MR_DETERMINISTIC_BOUND,
+    8292610161699718464855703,
+)
+
+
+class TestRadical:
     @settings(max_examples=40, deadline=None)
     @given(
         lo=st.one_of(st.integers(1, 3000), st.integers(10**6, 10**13)),
         n=st.one_of(st.integers(0, 3), st.integers(0, 1200)),
     )
     def test_matches_factorize(self, lo, n):
-        assert arith._radicals(lo, n) == [
-            prod(p for p, _ in factorize(d).factors) for d in range(lo, lo + n)
+        assert [arith._radical(d) for d in range(lo, lo + n)] == [
+            rad_by_factorize(d) for d in range(lo, lo + n)
         ]
+
+    # powers that take several gcd rounds to strip, and rests of at
+    # least 1000**2 that are composite, squarefree or not
+    @pytest.mark.parametrize("d, rad", [
+        (1, 1), (2**60, 2), (3**20 * 7**9, 21), (2**3 * 997**5, 2 * 997),
+        (1009 * 1013 * 1019, 1009 * 1013 * 1019), (1009**2 * 1013, 1009 * 1013),
+        (2**5 * 1009**3, 2 * 1009), (6 * 1000003**2, 6 * 1000003),
+    ])
+    def test_examples(self, d, rad):
+        assert arith._radical(d) == rad == rad_by_factorize(d)
+
+    # d = s*q near and past the bound: the rest s*q, or q when no prime
+    # of s is past 1000, is decided or refused as factorize(d) does
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.integers(1, 10**4), q=st.sampled_from(NEAR_BOUND))
+    def test_refuses_where_factorize_refuses(self, s, q):
+        assert outcome(arith._radical, s * q) == outcome(rad_by_factorize, s * q)
+
+    def test_refusals_near_the_bound(self):
+        refused = (
+            MR_DETERMINISTIC_BOUND,
+            2 * 8292610161699718464855703,
+            1009 * 829261016169971846490481,  # 1009 is no trial prime
+        )
+        for d in refused:
+            with pytest.raises(ValueError, match="deterministic primality range"):
+                arith._radical(d)
+        # past the bound but decided: the rest after 2 and 3 is prime
+        assert arith._radical(24 * 829261016169971846490481) == 6 * 829261016169971846490481
 
 
 class TestSquarefreeSplit:

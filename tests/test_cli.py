@@ -192,7 +192,7 @@ class TestDecompose:
         assert digest == self.DECOMPOSE_ALL_SHA256[P, fmt]
 
     def test_wide_delta_range_runs_in_flat_memory(self):
-        # ED2 walks the delta range one segment at a time: a search that
+        # ED2 walks the delta range one delta at a time: a search that
         # built per-delta lists over 10**12 deltas would die of
         # MemoryError under this address-space limit, set in the child only
         import resource
@@ -218,6 +218,25 @@ class TestDecompose:
             proc.communicate()
             return
         pytest.fail(f"exited {proc.returncode} within 3 s: {err}")
+
+    def test_prime_below_bound_with_cofactor_past_it_is_refused(self):
+        # The table cannot rule out delta = 1 this far up, so its dense
+        # class is listed from factorize(5P + 1), whose cofactor after 2
+        # is past the range is_prime decides: a refusal, not a crash
+        P, cofactor = 3317044064679887385942281, 8292610161699718464855703
+        assert is_prime(P) and 5 * P + 1 == 2 * cofactor and cofactor > MR_DETERMINISTIC_BOUND
+        src = str(Path(cli_mod.__file__).parents[1])
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "serp.cli", "decompose", str(P)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {cofactor} exceeds the deterministic primality range\n"
 
 
 class TestVerify:

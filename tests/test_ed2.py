@@ -105,21 +105,21 @@ class TestSearch:
             mult = classify_solution(ed2_reconstruct(w))
             assert mult.count == 2 and mult.positions == ("B", "C")
 
-    # A prime above a segment's length divides at most one of its deltas,
-    # so a one-delta step takes rad(delta) from the primes below 1000 and
-    # factorize, and sieves no base primes afresh however large delta is.
+    # A one-delta step takes rad(delta) from one gcd with the primes
+    # below 1000 and factorize, and sieves no base primes however large
+    # delta is.
     # Each P has a witness at delta = t = b**2: 5b - 1 divides P + 5, so
     # m = (P + 5)/(5b - 1) and A = b*m - 1 give b + c = m*delta.
     @pytest.mark.parametrize("t, P", [(10**6, 1079779), (10**8, 2299949)])
     def test_one_delta_steps_sieve_no_base_primes(self, monkeypatch, t, P):
         width = 200
-        segment = ed2_search(P, t + width - 1, t)
+        whole = ed2_search(P, t + width - 1, t)
         sieved = []
         sieve = arith._sieve_flags
         monkeypatch.setattr(arith, "_sieve_flags", lambda *a: sieved.append(a[:3]) or sieve(*a))
         steps = [w for d in range(t, t + width) for w in ed2_search(P, d, d)]
         assert sieved == []
-        assert steps == segment and segment
+        assert steps == whole and whole
 
 
 def least_r_by_division(P: int, caps) -> int:

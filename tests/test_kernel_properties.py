@@ -119,7 +119,7 @@ def test_ed2_witnesses_match_trial_division(P, delta):
     for sparse_max in (-1, 10**9):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ed2_mod, "_SPARSE_MAX", sparse_max)
-            assert _witnesses_for_delta(P, delta, rad(delta)) == expected
+            assert _witnesses_for_delta(P, delta) == expected
 
 
 @PROPS
@@ -139,17 +139,13 @@ def test_ed2_witnesses_lie_in_the_class_minus_one_mod_5_rad_delta(P, delta):
     P=st.integers(2 * 10**5, 3 * 10**6),
     lo=st.integers(1, 8),
     width=st.integers(0, 40),
-    segment=st.sampled_from([1, 3, 7, ed2_mod._SEGMENT]),
 )
-def test_ed2_search_is_trial_division_over_a_range(P, lo, width, segment):
+def test_ed2_search_is_trial_division_over_a_range(P, lo, width):
     # delta = 1 is dense from P = 2e5 on, and a delta with a large
-    # radical sparse, so most ranges mix both listings; short segments
-    # put segment edges, and segments of one delta, inside the range
+    # radical sparse, so most ranges mix both listings
     assume(P % 5)
     expected = [w for d in range(lo, lo + width + 1) for w in trial_division_witnesses(P, d)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ed2_mod, "_SEGMENT", segment)
-        assert ed2_search(P, lo + width, lo) == expected
+    assert ed2_search(P, lo + width, lo) == expected
 
 
 def test_ed2_search_mixes_sparse_and_dense_classes():
@@ -166,7 +162,7 @@ def test_ed2_search_matches_the_factored_listing_on_dense_classes(monkeypatch):
     assert sum(is_dense(P, d) for d in range(1, hi + 1)) == 1187
     expected = ed2_search(P, hi)
     monkeypatch.setattr(ed2_mod, "_SPARSE_MAX", -1)
-    assert [w for d in range(1, hi + 1) for w in _witnesses_for_delta(P, d, rad(d))] == expected
+    assert [w for d in range(1, hi + 1) for w in _witnesses_for_delta(P, d)] == expected
 
 
 @PROPS
