@@ -55,8 +55,10 @@ def lattice_search_m(
     has sum s1 = m*dprime and product p1 = (m + P)/(5*alpha); it is kept
     when the discriminant s1^2 - 4*p1 is a positive perfect square y^2
     of the same parity as s1 and gcd(b', c') = 1.  (y = 0 would force
-    b' = c', which the strict order of the box excludes.)  Useful hits
-    need m < 2P, since A = (m+P)/5 must stay below 3P/5.
+    b' = c', which the strict order of the box excludes.)  A hit is a
+    solution (A, bP, cP) with A = (m+P)/5 and two multiples of P, and
+    such a solution has A <= P/3 (see serp.oracle), so useful hits need
+    m <= 2P/3.
     """
     if squarefree_split(alpha) != (alpha, 1):
         raise ValueError(f"alpha must be squarefree, got {alpha}")

@@ -1,21 +1,33 @@
-"""Exhaustive ground truth from the divisors of (AP)^2.
+"""Exhaustive ground truth from the divisors of A^2.
 
-For each admissible A (P < 5A < 3P) put n = 5A - P and d = AP, so that
-1/B + 1/C = n/d.  That is (nB - d)(nC - d) = d^2: the pairs B <= C are
-the divisors x <= d of d^2 with x = -d (mod n), and B = (x + d)/n,
-C = (d^2/x + d)/n (Elsholtz & Tao, J. Aust. Math. Soc. 2013, Type I/II).
-Since A < P, n and d are coprime, so every such x gives integral B and
-C.  The cost is one factorization of A and the tau((AP)^2) divisor
-products per A.  Deliberately independent of the parametric engines so
-it can audit them; every accepted triple is re-verified in exact
-arithmetic.
+For each candidate A put n = 5A - P and d = AP, so that 1/B + 1/C = n/d.
+That is (nB - d)(nC - d) = d^2: the pairs B <= C are the divisors x <= d
+of d^2 with x = -d (mod n), and B = (x + d)/n, C = (d^2/x + d)/n
+(Elsholtz & Tao, J. Aust. Math. Soc. 2013, Type I/II).  Since A < P, n
+and d are coprime, so every such x gives integral B and C.
+
+Since P is prime and does not divide A, every such x is y*P**j with
+y | A^2, and j = 2 would need y <= A/P < 1.  That leaves two lists:
+
+* j = 0, one multiple of P: y <= A^2 < d always, and B >= A needs
+  y >= 5A^2 - 2AP, which some y <= A^2 meets only when A <= P/2.
+* j = 1, two multiples of P: gcd(P, n) = 1, so yP = -d (mod n) exactly
+  when y = -A (mod n), with y < A (y <= A when B = C is allowed).  So
+  n | y + A <= 2A, which forces A <= P/3.
+
+So A runs over P/5 < A <= P/2, a quarter less than the range
+P < 5A <= 3P that A <= B <= C alone gives.  Per A the cost is one
+factorization of A, at most tau(A^2) divisor products and, when
+A <= P/3, ceil(A/n) candidate steps for j = 1.  Deliberately
+independent of the parametric engines so it can audit them; every
+accepted triple is re-verified in exact arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .arith import Factorization, factorize, is_prime
+from .arith import factorize, is_prime
 from .errors import ClassificationViolation, NotPrime
 from .solution import Solution, SolutionClass, make_solution
 
@@ -26,21 +38,36 @@ OracleEnumeration = namedtuple("OracleEnumeration", "P distinct_only solutions")
 
 def enumerate_all_solutions(P: int, distinct_only: bool = True) -> OracleEnumeration:
     """Every solution of 5/P = 1/A + 1/B + 1/C with A <= B <= C
-    (A < B < C when distinct_only), complete and duplicate-free."""
+    (A < B < C when distinct_only), complete and duplicate-free.
+
+    With n = 5A - P and d = AP, each solution is a divisor x <= d of d^2
+    with x = -d (mod n).  P does not divide A < P, so x = y*P**j with
+    y | A^2 and j <= 1: j = 0 gives one multiple of P and needs
+    A <= P/2 for B >= A; j = 1 gives two and needs y = -A (mod n) with
+    y + A <= 2A, so A <= P/3.  Hence A runs over P/5 < A <= P/2.
+    """
     if not is_prime(P):
         raise NotPrime(f"{P} is not prime")
     if P == 5:
         raise ValueError("P = 5 is out of scope (5/P is an integer)")
     sols = []
-    a_lo = P // 5 + 1
-    a_hi = (3 * P - 1) // 5 if distinct_only else (3 * P) // 5
-    for A in range(a_lo, a_hi + 1):
+    for A in range(P // 5 + 1, P // 2 + 1):
         n = 5 * A - P
         d = A * P
-        # A < P, so P is the largest prime of d and the factors stay sorted.
-        fd = Factorization(d, factorize(A).factors + ((P, 1),))
-        # x < d exactly when B < C; divisors ascend, so B ascends too.
-        for x in fd.squared().divisors_in_class(-d, n, d - 1 if distinct_only else d):
+        square = A * A
+        # j = 0: x = y | A^2, and y <= A^2 < d, so B < C always.
+        xs = factorize(A).squared().divisors_in_class(-d, n, square)
+        # j = 1: x = yP with y = -A (mod n); y < A exactly when B < C.
+        # The range is empty once n > 2A, that is past A = P/3.
+        two = [
+            y * P
+            for y in range(-A % n or n, A if distinct_only else A + 1, n)
+            if square % y == 0
+        ]
+        if two:
+            xs = sorted(xs + two)
+        # x ascends, so B ascends too.
+        for x in xs:
             B = (x + d) // n
             if B < A or (distinct_only and B == A):
                 continue

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from serp.arith import squarefree_split
+from serp.arith import is_prime, squarefree_split
 from serp.ed2 import ed2_normalize, ed2_search
 from serp.lattice import (
     SublatticeClass,
@@ -89,6 +89,19 @@ class TestLatticeSearchM:
                         continue
                     brute.add((bprime, cprime, m))
             assert set(lattice_search_m(P, alpha, dprime, m_max)) == brute, (P, alpha, dprime)
+
+    def test_hits_stay_below_two_thirds_of_p(self):
+        # a hit is a row with two multiples of P, so A = (m+P)/5 <= P/3
+        found = 0
+        for P in range(7, 800):
+            if not is_prime(P):
+                continue
+            for alpha in (1, 2, 3, 5, 6, 7, 10, 11):
+                for dprime in range(1, 6):
+                    for _, _, m in lattice_search_m(P, alpha, dprime, 2 * P):
+                        assert 3 * m <= 2 * P, (P, alpha, dprime, m)
+                        found += 1
+        assert found
 
     def test_hits_are_the_canonical_ed2_rows(self):
         # The paper's search over every delta = alpha*dprime**2 <= 200

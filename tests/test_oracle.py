@@ -62,6 +62,7 @@ def _rows(enum):
 
 
 PRIMES_1000_2000 = [p for p in range(1000, 2000) if is_prime(p)]
+PRIMES_2000_10000 = [p for p in range(2000, 10**4 + 1) if is_prime(p)]
 PRIMES_7_10000 = [p for p in range(7, 10**4 + 1) if is_prime(p)]
 
 
@@ -125,9 +126,14 @@ class TestAgainstRangeScan:
         for P in primes_up_to(1000):
             if P == 5:
                 continue
-            assert _rows(enumerate_all_solutions(P, distinct_only)) == _rows(
-                _range_scan_reference(P, distinct_only)
-            ), P
+            reference = _range_scan_reference(P, distinct_only)
+            assert _rows(enumerate_all_solutions(P, distinct_only)) == _rows(reference), P
+            # The reference walks A up to 3P/5; the oracle stops at P/2,
+            # and its list of two multiples of P is empty past P/3.
+            for sol in reference.solutions:
+                assert sol.A <= P // 2, (P, sol)
+                if sol.cls is SolutionClass.ED2:
+                    assert sol.A <= P // 3, (P, sol)
 
     @pytest.mark.parametrize("P", [2521, 3511])
     def test_spot_primes(self, P):
@@ -183,6 +189,21 @@ def test_oracle_matches_the_benchmark_enumeration_up_to_1000(oracle, primes_up_t
             triples = [sol.triple() for sol in oracle(P).solutions]
             assert len(set(triples)) == len(triples)
             assert set(triples) == check.enumerate_solutions(P), P
+
+
+@settings(max_examples=8, deadline=None)
+@given(P=st.sampled_from(PRIMES_2000_10000))
+def test_oracle_matches_the_benchmark_enumeration_at_audit_size(P):
+    # the same independent check as above, at the size of the audit
+    # benchmark's primes; check.py walks A up to 3P/5, past the
+    # oracle's P/2
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import check
+
+    triples = [sol.triple() for sol in enumerate_all_solutions(P).solutions]
+    assert len(set(triples)) == len(triples)
+    assert set(triples) == check.enumerate_solutions(P), P
 
 
 def test_engine_equality_at_spot_primes(oracle):
