@@ -33,9 +33,8 @@ def prime_mask(limit: int) -> np.ndarray:
 
 
 def class_primes(residue: int, modulus: int, limit: int) -> np.ndarray:
-    """Primes p <= limit with p = residue (mod modulus), ascending int64."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    """Primes p <= limit with p = residue (mod modulus), ascending int64;
+    modulus >= 1 (callers pass 5 and 5r >= 20)."""
     first = 2 + (residue - 2) % modulus  # the least member >= 2
     if limit < first:
         return np.empty(0, dtype=np.int64)

@@ -1,8 +1,8 @@
 """Conversions between the two witness shapes.
 
-Forward (two-multiple -> one-multiple) is decided by one check and
-builds no candidate.  Its formulas gamma = (5c - 1)/P,
-u = gamma*A - c, v = gamma*B - c need P | 5c - 1, and:
+Forward (two-multiple -> one-multiple) builds no candidate.  Its
+formulas gamma = (5c - 1)/P, u = gamma*A - c, v = gamma*B - c need
+P >= 1 and P | 5c - 1, and:
 
 * a kernel-valid two-multiple witness has (5b-1)(5c-1) = 5P*delta + 1
   = 1 (mod P), so P never divides 5c - 1;
@@ -10,15 +10,18 @@ u = gamma*A - c, v = gamma*B - c need P | 5c - 1, and:
   candidate keeps a multiple of P in place of A or B, which a
   one-multiple witness excludes.
 
-So no input maps, and the result only names which of the two holds.
+So no input maps, and the result names the first check that fails.
 
 Reverse (one-multiple -> two-multiple):
 
     A = (u + c)/gamma,   b = (v + c)/(gamma*P),   delta = b*c/A
 
-applies the formulas only after checking every divisibility
-precondition, then re-verifies the target kernel.  Failures come back
-as values, never exceptions.
+maps only a pair (b, c) that passes every precondition, P >= 1 first,
+and that pair_from_divisor rebuilds.  That witness meets each check of
+ed2_reconstruct by construction (r*s = 5*P*delta + 1, r = 5b - 1,
+s = 5c - 1, 1 <= b < c, A = b*c/delta, and the kernel is
+5/P = 1/A + 1/bP + 1/cP), so ed2_reconstruct is a bug trap that raises.
+Every other failure comes back as a value.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .ed2 import Ed2Witness, ed2_reconstruct, pair_from_divisor
-from .errors import SerpError
 
 
 class BridgeResult(namedtuple("BridgeResult", "witness reason", defaults=(None, None))):
@@ -43,9 +45,9 @@ class BridgeResult(namedtuple("BridgeResult", "witness reason", defaults=(None, 
 
 
 def convolve_ed2_to_ed1(w: Ed2Witness) -> BridgeResult:
-    """Never mapped.  A kernel-valid witness fails P | 5c - 1, since
-    (5b-1)(5c-1) = 1 (mod P); any other input would keep B = bP, a
-    multiple of P, in the one-multiple candidate."""
+    """Never mapped: the reason names the check that fails (see above)."""
+    if w.P < 1:
+        return BridgeResult(reason=f"need P >= 1, got {w.P}")
     s = 5 * w.c - 1
     if s % w.P:
         return BridgeResult(reason=f"{w.P} does not divide 5c - 1 = {s}")
@@ -55,11 +57,10 @@ def convolve_ed2_to_ed1(w: Ed2Witness) -> BridgeResult:
 def anticonvolve_ed1_to_ed2(
     q: tuple[int, int, int, int], P: int
 ) -> BridgeResult:
-    """Apply the reverse formulas to a quadruple (gamma, c, u, v);
-    Mapped only if a full two-multiple witness re-verifies."""
+    """The reverse formulas on (gamma, c, u, v), as described above."""
     gamma, c, u, v = q
-    if gamma < 1 or c < 1:
-        return BridgeResult(reason=f"need gamma, c >= 1, got ({gamma}, {c})")
+    if gamma < 1 or c < 1 or P < 1:
+        return BridgeResult(reason=f"need gamma, c, P >= 1, got ({gamma}, {c}, {P})")
     if (u + c) % gamma:
         return BridgeResult(reason=f"{gamma} does not divide u + c = {u + c}")
     A = (u + c) // gamma
@@ -81,8 +82,5 @@ def anticonvolve_ed1_to_ed2(
         return BridgeResult(
             reason=f"(b, c) = ({lo}, {hi}) is not a kernel pair for delta = {delta}"
         )
-    try:
-        ed2_reconstruct(candidate)
-    except SerpError as exc:
-        return BridgeResult(reason=f"target kernel re-verification failed: {exc}")
+    ed2_reconstruct(candidate)
     return BridgeResult(witness=candidate)

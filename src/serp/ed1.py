@@ -5,10 +5,13 @@ For P = 1 (mod 5) every such solution comes from a quadruple
 
     5c - 1 = gamma * P,   gamma = 4 (mod 5),   gcd(gamma, c) = 1,
     u * v = c**2,         u = v = -c (mod gamma),
-    u != -c (mod P),      v != -c (mod P),
 
 reconstructed as A = (u+c)/gamma, B = (v+c)/gamma, C = cP.  The defining
-kernel identity is (gamma*A - c) * (gamma*B - c) = c**2.
+kernel identity is (gamma*A - c) * (gamma*B - c) = c**2.  P divides
+neither A nor B, so nothing is dropped mod P: u < c gives
+A < 2c/gamma < P, and P | B would make a two-multiple solution with
+P | 5c - 1, against (5b - 1)(5c - 1) = 1 (mod P).  When P | gamma,
+every u = -c (mod gamma) is -c (mod P), which says nothing of A.
 """
 
 from __future__ import annotations
@@ -50,12 +53,11 @@ def ed1_search(P: int, gamma_max: int, gamma_min: int = 4) -> list[Ed1Witness]:
 
     c = (gamma*P + 1)/5 is integral for every such gamma when
     P = 1 (mod 5), and gcd(gamma, c) = 1 since 5c = 1 (mod gamma).
-    Deterministic order: gamma ascending, then u ascending.  c steps
-    by P as gamma steps by 5, so one sieve over that progression
-    factors every c.  Divisor
-    pairs u*v = c**2 are drawn from the squared factorization of c, u
-    listed only in its class -c (mod gamma) and below c; the pair
-    u = v = c is excluded (it would force A = B).
+    Deterministic order: gamma, then u ascending.  c steps by P as
+    gamma steps by 5, so one sieve over that progression factors every
+    c.  Divisor pairs u*v = c**2 come from the squared factorization of
+    c, u listed only in its class -c (mod gamma) and below c, so u < v
+    (u = v = c would force A = B).
     """
     if P % 5 != 1:
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
@@ -76,18 +78,13 @@ def _witnesses_for_candidate(P: int, gamma: int, fc: Factorization) -> list[Ed1W
     """The witnesses at gamma, given the factorization fc of c = (gamma*P + 1)/5."""
     c = fc.n
     target = (-c) % gamma
-    banned = (-c) % P
     csq = c * c
     found = []
-    # u <= c - 1 keeps u < v; u = v = c is degenerate
     for u in fc.squared().divisors_in_class(target, gamma, c - 1):
         v = csq // u
-        # v = -c (mod gamma) follows from u*v = c^2 and gcd(gamma, c) = 1,
-        # but is checked anyway as a cheap bug trap.
+        # a bug trap: u*v = c^2 and gcd(gamma, c) = 1 give v = -c (mod gamma)
         if v % gamma != target:
             raise KernelViolation(f"v = {v} escaped the class -c (mod {gamma})")
-        if u % P == banned or v % P == banned:
-            continue
         found.append(Ed1Witness(P, gamma, c, u, v))
     return found
 

@@ -36,9 +36,7 @@ class SublatticeClass(namedtuple("SublatticeClass", "moduli shift")):
 
 
 def class_count_in_box(cls: SublatticeClass, T: int) -> int:
-    """Exact number of class points in the box [1, T]^2."""
-    if T < 1:
-        return 0
+    """Exact number of class points in the box [1, T]^2 (none for T < 1)."""
     total = 1
     for m, a in zip(cls.moduli, cls.shift):
         first = a if a >= 1 else m  # smallest class member in [1, m]

@@ -238,6 +238,8 @@ class TestCrtCombine:
         assert crt_combine(1, 5, 11, 14) == (11, 70)
         with pytest.raises(InconsistentCongruence):
             crt_combine(0, 2, 1, 4)
+        with pytest.raises(ValueError, match="moduli must be >= 1"):
+            crt_combine(0, 0, 1, 3)
 
     def test_membership_randomized(self):
         rng = random.Random(1009)
@@ -492,6 +494,10 @@ class TestFactorize:
     def test_structure(self):
         f = factorize(17556)
         assert f.factors == ((2, 2), (3, 1), (7, 1), (11, 1), (19, 1))
+
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="factorize requires n >= 1"):
+            factorize(0)
 
     def test_invariants_exhaustive(self):
         for n in range(1, 5001):

@@ -1,5 +1,6 @@
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,12 @@ class TestConvolve:
         res = convolve_ed2_to_ed1(Ed2Witness(11, 1, 1, 3, 4, 14, 3))
         assert not res.mapped
         assert "14" in res.reason and "11" in res.reason
+
+    @pytest.mark.parametrize("P", [0, -11])
+    def test_p_below_one_is_a_value(self, P):
+        # checked before any % P, which would divide by zero at P = 0
+        res = convolve_ed2_to_ed1(Ed2Witness(P, 1, 1, 2, 4, 9, 2))
+        assert not res.mapped and res.reason == f"need P >= 1, got {P}"
 
     def test_p73_fails_divisibility(self):
         res = convolve_ed2_to_ed1(Ed2Witness(73, 64, 8, 120, 39, 599, 15))
@@ -122,15 +129,16 @@ class TestAnticonvolve:
 
 @cache
 def _witnesses(P):
-    return tuple(ed2_search(P, 30)) if P % 5 else ()
+    return tuple(ed2_search(P, 30)) if P > 0 and P % 5 else ()
 
 
 @st.composite
 def reverse_inputs(draw):
     """(quadruple, P): arbitrary integers, the reverse formulas' own shape
     (gamma, c, gamma*A - c, gamma*b*P - c) for arbitrary A, b, c, or that
-    shape taken from a two-multiple witness of P, which maps."""
-    P = draw(st.sampled_from(SMALL_PRIMES))
+    shape taken from a two-multiple witness of P, which maps.  P is a
+    small prime, 0 or negative."""
+    P = draw(st.sampled_from(SMALL_PRIMES + [0, -7]))
     shape = draw(st.sampled_from(("any", "reverse", "witness")))
     if shape == "any":
         return draw(st.tuples(*[st.integers(-10**6, 10**6)] * 4)), P

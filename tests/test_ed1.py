@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -68,8 +69,9 @@ class TestSearch:
             assert w.u * w.v == w.c * w.c
             assert w.u % w.gamma == (-w.c) % w.gamma
             assert w.v % w.gamma == (-w.c) % w.gamma
-            assert w.u % w.P != (-w.c) % w.P
-            assert w.v % w.P != (-w.c) % w.P
+            # the range reaches gamma = 164 = 4*41, where every u would be
+            # -c (mod P); P | A or P | B never holds (see the ed1 docstring)
+            assert w.A % w.P and w.B % w.P
 
     def test_kernel_identity_on_output(self):
         for P in (11, 31, 41, 61):
@@ -92,9 +94,16 @@ class TestReconstruct:
         sol = ed1_reconstruct(Ed1Witness(11, 9, 20, 16, 25))
         assert sol.triple() == (4, 5, 220)
 
-    def test_kernel_violation(self):
-        with pytest.raises(KernelViolation):
-            ed1_reconstruct(Ed1Witness(11, 4, 9, 3, 26))
+    # One malformed witness per check of ed1_reconstruct, in its order.
+    @pytest.mark.parametrize("w, message", [
+        pytest.param(Ed1Witness(11, 4, 10, 3, 27), "5c - 1 != gamma*P", id="5c_minus_1"),
+        pytest.param(Ed1Witness(11, 4, 9, 3, 26), "u*v != c^2", id="u_v"),
+        pytest.param(Ed1Witness(11, 4, 9, 1, 81), "gamma does not divide", id="gamma"),
+        pytest.param(Ed1Witness(11, 4, 9, -9, -9), "P divides A or B", id="P_divides_A"),  # A = 0
+    ])
+    def test_kernel_violation(self, w, message):
+        with pytest.raises(KernelViolation, match=re.escape(message)):
+            ed1_reconstruct(w)
 
     def test_multiplicity_is_one_at_c(self):
         for P in (11, 41, 61):
@@ -108,7 +117,9 @@ class TestReconstruct:
 
 
 def test_completeness_against_oracle_small(oracle, primes_up_to):
-    # every one-multiple oracle solution appears once gamma_max covers it
+    # every one-multiple oracle solution appears once gamma_max covers it,
+    # and the search finds nothing more up to gamma = 9P, past the steps
+    # gamma = 4P and 9P where P | gamma
     for P in primes_up_to(200, residue_mod5=1):
         expected = set()
         gamma_needed = 4
@@ -119,5 +130,5 @@ def test_completeness_against_oracle_small(oracle, primes_up_to):
                 assert (5 * c - 1) % P == 0
                 gamma_needed = max(gamma_needed, gamma)
                 expected.add(sol.triple())
-        got = {ed1_reconstruct(w).triple() for w in ed1_search(P, gamma_needed)}
+        got = {ed1_reconstruct(w).triple() for w in ed1_search(P, max(gamma_needed, 9 * P))}
         assert got == expected, P

@@ -1,4 +1,5 @@
 import json
+import re
 from math import gcd, isqrt
 
 import pytest
@@ -21,7 +22,7 @@ from serp.ed2 import (
     ed2_search,
     ed2_witness_row,
 )
-from serp.errors import WrongResidue
+from serp.errors import KernelViolation, WrongResidue
 from serp.lattice import lattice_search_m
 from serp.solution import SolutionClass, classify_solution
 
@@ -242,7 +243,24 @@ class TestDeltaOne:
             assert small.lo + len(small.table) <= lo + width + 1
 
 
+class TestReconstruct:
+    # One malformed witness per check of ed2_reconstruct, in its order.
+    @pytest.mark.parametrize("w, message", [
+        pytest.param(Ed2Witness(11, 1, 3, 1, 14, 4, 3), "need 1 <= b < c", id="b_below_c"),
+        pytest.param(Ed2Witness(11, 1, 1, 3, 5, 14, 3), "r, s do not match", id="r_s"),
+        pytest.param(Ed2Witness(11, 2, 1, 3, 4, 14, 3), "r*s != 5*P*delta + 1", id="r_times_s"),
+        pytest.param(Ed2Witness(11, 1, 1, 3, 4, 14, 4), "A != b*c/delta", id="A"),
+    ])
+    def test_kernel_violation(self, w, message):
+        with pytest.raises(KernelViolation, match=re.escape(message)):
+            ed2_reconstruct(w)
+
+
 class TestCaseA:
+    def test_rejects_multiple_of_five(self):
+        with pytest.raises(WrongResidue):
+            ed2_case_a(10, 1, [4])
+
     def test_p97(self):
         sol = ed2_case_a(97, 1, [9])
         assert sol.triple() == (22, 194, 1067)

@@ -36,6 +36,10 @@ class TestClassCount:
         with pytest.raises(ValueError):
             SublatticeClass((0, 5), (1, 1))
 
+    @pytest.mark.parametrize("T", [0, -5])
+    def test_box_below_one_is_empty(self, T):
+        assert class_count_in_box(SublatticeClass((2, 3), (1, 0)), T) == 0
+
     def test_index_nine(self):
         count = class_count_in_box(SublatticeClass((3, 3), (1, 2)), 10)
         assert count == 12
@@ -71,6 +75,10 @@ class TestLatticeSearchM:
     def test_rejects_non_squarefree_alpha(self):
         with pytest.raises(ValueError):
             lattice_search_m(73, 4, 1, 10)
+
+    def test_rejects_dprime_below_one(self):
+        with pytest.raises(ValueError, match="dprime must be >= 1"):
+            lattice_search_m(11, 1, 0, 5)
 
     def test_matches_box_enumeration(self):
         # brute force over coprime pairs in the box, same admissibility

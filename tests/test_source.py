@@ -225,6 +225,16 @@ def test_unknown_package_attribute_raises():
         serp.no_such_name
 
 
+def test_missing_dependency_of_a_submodule_is_reraised(monkeypatch):
+    # only a missing submodule becomes AttributeError; a dependency that
+    # the submodule cannot import keeps its own ModuleNotFoundError
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "serp._kernels", raising=False)
+    with pytest.raises(ModuleNotFoundError) as info:
+        serp.__getattr__("_kernels")
+    assert info.value.name == "numpy"
+
+
 def _imported_names(tree):
     return {a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
