@@ -36,35 +36,22 @@ def invariant_errors(errors: ast.Module) -> set[str]:
     return family
 
 
-def _is_docstring(parent: ast.AST, index: int, node: ast.stmt) -> bool:
-    return (index == 0 and isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                               ast.AsyncFunctionDef))
-            and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str))
-
-
 def statements(tree: ast.Module) -> dict[ast.stmt, set[int]]:
     """Every statement of tree but docstrings, with the lines it owns:
     its first line, and each of its lines that no nested statement spans."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {node.body[0] for node in ast.walk(tree)
+                  if isinstance(node, scopes) and ast.get_docstring(node) is not None}
     owned = {}
-
-    def visit(parent: ast.AST) -> None:
-        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
-            block = getattr(parent, field, [])
-            for index, node in enumerate(block):
-                if isinstance(node, (ast.ExceptHandler, ast.match_case)):
-                    visit(node)
-                    continue
-                first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-                lines = set(range(first, node.end_lineno + 1))
-                for child in ast.walk(node):
-                    if child is not node and isinstance(child, ast.stmt):
-                        lines -= set(range(child.lineno, child.end_lineno + 1))
-                if not _is_docstring(parent, index, node):
-                    owned[node] = lines | {node.lineno}
-                visit(node)
-
-    visit(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.stmt) or node in docstrings:
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        lines = set(range(first, node.end_lineno + 1))
+        for child in ast.walk(node):
+            if child is not node and isinstance(child, ast.stmt):
+                lines -= set(range(child.lineno, child.end_lineno + 1))
+        owned[node] = lines | {node.lineno}
     return owned
 
 
@@ -106,7 +93,8 @@ def main(args: list[str]) -> int:
     for path in sorted(SERP.glob("*.py")):
         source = path.read_text()
         lines = executed.get(os.path.realpath(path), set())
-        for node, owned in statements(ast.parse(source, filename=str(path))).items():
+        found = statements(ast.parse(source, filename=str(path)))
+        for node, owned in sorted(found.items(), key=lambda item: item[0].lineno):
             total += 1
             if owned & lines:
                 ran += 1
