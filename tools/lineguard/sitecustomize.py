@@ -12,7 +12,6 @@ module does nothing.
 import atexit
 import os
 import sys
-import threading
 
 _OUT = os.environ.get("LINEGUARD_DIR")
 _SERP = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(os.path.realpath(__file__)))),
@@ -51,5 +50,4 @@ def _write():
 
 if _OUT:
     atexit.register(_write)
-    threading.settrace(_on_call)
     sys.settrace(_on_call)
