@@ -33,12 +33,13 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from itertools import chain
 
 from .arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
 from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
 from .ed2 import _SmallDeltas, default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError, WrongResidue
-from .explicit import decompose_explicit, repair_distinct
+from .explicit import decompose_explicit
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
 
 # serp.tables (and through it serp.bridge) loads only where a subcommand
@@ -71,8 +72,9 @@ def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
     json writes each record as a compact, key-sorted line, whole except
     for the stats record (see _emit_streaming); csv and table write the
     given columns, a missing key or None as an empty cell and a nested
-    value as its JSON text.  json and csv write each record as it comes;
-    the table reads them all first, for the widths.
+    value as its JSON text.  json and csv write each record as it comes,
+    csv its header only once the first record is built; the table reads
+    them all first, for the widths.
     """
     if fmt == "json":
         for record in records:
@@ -81,8 +83,9 @@ def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
     rows = ([_cell(r.get(c)) for c in columns] for r in records)
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
+        first = next(rows, None)  # a record that fails at once leaves no header behind
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows(rows if first is None else chain((first,), rows))
         return
     cells = list(rows)
     widths = [max([len(c)] + [len(row[i]) for row in cells]) for i, c in enumerate(columns)]
@@ -134,6 +137,8 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
     unchecked output).  Generators throughout, so json and csv output
     holds no solution past its own line.
 
+    The json branch checks each solution in its own write loop, with the
+    tuple unpacked once; csv and table take theirs through checked().
     A json line is written by one f-string with the fixed keys of
     Solution.as_dict in sorted order: the line _json(sol.as_dict())
     gives, byte for byte, without building the dict.
@@ -146,9 +151,13 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
             yield sol
 
     if fmt == "json":
-        for s in checked():  # cls._value_: .value is a descriptor call per line
-            out.write(f'{{"A":{s.A},"B":{s.B},"C":{s.C},"P":{s.P},'
-                      f'"class":"{s.cls._value_}","strict":{"true" if s.strict else "false"}}}\n')
+        for sol in solutions:
+            P, A, B, C, cls, strict = sol
+            if not verify_solution(P, A, B, C):
+                raise InvariantViolation(f"unverified solution reached output: {sol}")
+            # cls._value_: .value is a descriptor call per line
+            out.write(f'{{"A":{A},"B":{B},"C":{C},"P":{P},'
+                      f'"class":"{cls._value_}","strict":{"true" if strict else "false"}}}\n')
     elif fmt == "csv":
         from .tables import ROW_COLUMNS
 
@@ -175,8 +184,8 @@ def _decompose(P: int, args, want_all: bool, small: _SmallDeltas | None = None) 
     if P == 2:
         raise WrongResidue("P = 2 is out of scope (no three distinct unit fractions sum to 5/2)")
     if method == "explicit" or (method == "auto" and residue != 1):
-        sol = decompose_explicit(P)  # raises WrongResidue when residue is 1
-        return [sol if args.weak else repair_distinct(sol)]
+        # raises WrongResidue when residue is 1
+        return [decompose_explicit(P, distinct=not args.weak)]
     if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
     delta_first = 1  # the first ED2 step left to search

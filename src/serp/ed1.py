@@ -97,6 +97,8 @@ def ed1_reconstruct(w: Ed1Witness) -> Solution:
         raise KernelViolation(f"u*v != c^2 for {w}")
     if (w.u + w.c) % w.gamma or (w.v + w.c) % w.gamma:
         raise KernelViolation(f"gamma does not divide u+c, v+c for {w}")
+    if w.u < 1 or w.v < 1:
+        raise KernelViolation(f"need u, v >= 1, got u = {w.u}, v = {w.v}")
     if w.A % w.P == 0 or w.B % w.P == 0:
         raise KernelViolation(f"P divides A or B for {w}")
     return make_solution(w.P, w.A, w.B, w.C, SolutionClass.ED1)

@@ -410,6 +410,8 @@ class TestScan:
             "07a18605fd372ad1967abea337ac931174f253940413bd9d76199d2e59eb166e",
         "--from 1000000000 --to 1000020000 --format json":
             "075004e4bcfbe665a84e5374aedce60372e76edeb07b1341e50c965c47d4d17e",
+        "--from 7 --to 20000 --weak --format json":
+            "ff26f43b434f64fdc183a606c3a40d697cff00a894ecdb61ab9d2074793a5f71",
     }
     SCAN_140000_ED2_SHA256 = "5cd3bdf9920393ccdbca915a9dea1b43895eb62fa0ec42f276c166c73b823a5f"
 
@@ -924,12 +926,14 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert "Traceback" not in err and "BrokenPipe" not in err
 
 
-def test_invariant_violation_exit_code(monkeypatch):
-    # force the no-unchecked-output guard to trip
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv", ["decompose 11", "scan --from 7 --to 31"])
+def test_invariant_violation_exit_code(monkeypatch, argv, fmt):
+    # force the no-unchecked-output guard to trip, in each format's writer
     import serp.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "verify_solution", lambda *a: False)
-    code, out = run_cli("decompose", "11", "--format", "json")
+    code, out = run_cli(*argv.split(), "--format", fmt)
     assert code == 3
     assert out == ""
 

@@ -94,12 +94,16 @@ class TestReconstruct:
         sol = ed1_reconstruct(Ed1Witness(11, 9, 20, 16, 25))
         assert sol.triple() == (4, 5, 220)
 
-    # One malformed witness per check of ed1_reconstruct, in its order.
+    # Malformed witnesses for each check of ed1_reconstruct, in its order.
+    # No witness that passes the checks before it reaches the last one,
+    # P | A or B: u, v >= 1 make a solution, and the module shows P
+    # divides neither A nor B of any.
     @pytest.mark.parametrize("w, message", [
         pytest.param(Ed1Witness(11, 4, 10, 3, 27), "5c - 1 != gamma*P", id="5c_minus_1"),
         pytest.param(Ed1Witness(11, 4, 9, 3, 26), "u*v != c^2", id="u_v"),
         pytest.param(Ed1Witness(11, 4, 9, 1, 81), "gamma does not divide", id="gamma"),
-        pytest.param(Ed1Witness(11, 4, 9, -9, -9), "P divides A or B", id="P_divides_A"),  # A = 0
+        pytest.param(Ed1Witness(11, 4, 9, -9, -9), "need u, v >= 1", id="u_v_below_one_A_zero"),
+        pytest.param(Ed1Witness(11, 4, 9, -1, -81), "need u, v >= 1", id="v_below_one_B_negative"),
     ])
     def test_kernel_violation(self, w, message):
         with pytest.raises(KernelViolation, match=re.escape(message)):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serp.arith import primes_between
+from serp.arith import MR_DETERMINISTIC_BOUND, primes_between
 from serp.errors import InvalidSolution, IrreparableCollision, ParityViolation, WrongResidue
 from serp.explicit import decompose_explicit, repair_distinct
 from serp.solution import Solution, SolutionClass, verify_solution
@@ -92,3 +92,28 @@ def test_repair_is_strict_exact_and_keeps_p_and_class(P):
     assert verify_solution(P, *repaired.triple())
     assert (repaired.P, repaired.cls) == (sol.P, sol.cls)
     assert repair_distinct(repaired) is repaired
+
+
+def _check_distinct_form(P):
+    """decompose_explicit(P, distinct=True) is the repaired weak form."""
+    if P % 10 == 2:  # P' even at residue 2: no closed form, either way
+        for distinct in (False, True):
+            with pytest.raises(ParityViolation):
+                decompose_explicit(P, distinct=distinct)
+        return
+    direct = decompose_explicit(P, distinct=True)
+    assert direct == repair_distinct(decompose_explicit(P)), P
+    assert direct.strict, P
+
+
+def test_distinct_form_is_the_repaired_weak_form_up_to_1e5():
+    # prime or not: the closed forms are identities in P
+    for P in range(3, 10**5 + 1):
+        if P % 5 in (2, 3, 4):
+            _check_distinct_form(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(P=st.integers(3, MR_DETERMINISTIC_BOUND - 1).filter(lambda n: n % 5 in (2, 3, 4)))
+def test_distinct_form_is_the_repaired_weak_form(P):
+    _check_distinct_form(P)
