@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=("auto", "explicit", "ed1", "ed2"), default="auto")
         p.add_argument("--gamma-max", type=_positive_int, help="one-multiple search bound")
         p.add_argument("--delta-max", type=_positive_int, help="two-multiple search bound")
-        p.add_argument("--weak", action="store_true", help="allow repeated denominators (skip repair)")
+        p.add_argument("--weak", action="store_true",
+                       help="allow repeated denominators (the weak closed forms)")
 
     p = sub.add_parser("decompose", help="find decompositions for one prime")
     p.add_argument("P", type=int)
