@@ -16,7 +16,8 @@ with the product of the primes below 1000, as factorize begins.  All
 are exact up to ~3.3e24 (the last proven witness bound) and raise
 ValueError past it for an undecided input.
 divisors_in_class lists one residue class of divisors by meeting in the
-middle.
+middle, after _class_meets has found from residues alone that the class
+is not empty.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -135,6 +136,31 @@ def _divisors_upto(factors, upto: int) -> list[int]:
     return ds
 
 
+def _class_meets(left, right, residue: int, modulus: int) -> bool:
+    """Whether some divisor of the product of both halves' prime powers
+    is = residue (mod modulus): whether a left divisor's residue is the
+    key residue * d**-1 of a right divisor d, whose primes are prime to
+    the modulus.  Residues only, whatever the divisors' size."""
+    residues = [1 % modulus]
+    for p, e in left:
+        grown = []
+        for r in residues:
+            for _ in range(e + 1):
+                grown.append(r)
+                r = r * p % modulus
+        residues = grown
+    keys = [residue]
+    for p, e in right:
+        inverse = pow(p, -1, modulus)
+        grown = []
+        for key in keys:
+            for _ in range(e + 1):
+                grown.append(key)
+                key = key * inverse % modulus
+        keys = grown
+    return not set(residues).isdisjoint(keys)
+
+
 class Factorization(namedtuple("Factorization", "n factors")):
     """Prime factorization of n: factors holds strictly increasing
     (prime, exponent) pairs."""
@@ -154,7 +180,9 @@ class Factorization(namedtuple("Factorization", "n factors")):
         each right divisor d reads only the bucket of residue * d**-1
         (mod modulus).  A prime that divides the modulus goes left,
         where no inverse is needed.  Partial products above upto are
-        dropped while they are built.  modulus must be >= 1.
+        dropped while they are built.  An empty class, found from the
+        halves' residues alone by _class_meets, is listed no further.
+        modulus must be >= 1.
         """
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
@@ -168,6 +196,8 @@ class Factorization(namedtuple("Factorization", "n factors")):
             else:
                 right.append((p, e))
                 n_right *= e + 1
+        if not _class_meets(left, right, residue, modulus):
+            return []
         buckets: dict[int, list[int]] = {}
         for d in sorted(_divisors_upto(left, upto)):
             buckets.setdefault(d % modulus, []).append(d)
@@ -265,17 +295,24 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     m = n
     counts: dict[int, int] = {}
+    # g is the product of the trial primes that divide n and are not yet
+    # stripped; once p*p > g, it is 1 or one prime.
     g = gcd(m, _TRIAL_PRODUCT)
+    trial = []
     for p in _TRIAL_PRIMES:
-        if g == 1:
+        if p * p > g:
             break
         if g % p == 0:
             g //= p
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            counts[p] = e
+            trial.append(p)
+    if g > 1:
+        trial.append(g)
+    for p in trial:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        counts[p] = e
     parts = [m] if m > 1 else []
     while parts:
         m = parts.pop()

@@ -2,14 +2,15 @@ import random
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from serp import arith
+from serp import arith, ed1, ed2, oracle
 from serp._kernels import prime_mask
 from serp.arith import (
     _MR_WITNESS_COUNTS,
     MR_DETERMINISTIC_BOUND,
+    Factorization,
     crt_combine,
     euler_phi,
     factorize,
@@ -21,6 +22,9 @@ from serp.arith import (
     squarefree_split,
 )
 from serp.errors import InconsistentCongruence, NotInvertible
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def brute_divisors(n):
@@ -335,6 +339,13 @@ class TestDivisors:
             (11 * 13 * 17 * 19 * 23, 1, 6, 300),  # buckets with left divisors past upto
             (11 * 13 * 17 * 19 * 23, 2, 7, 10**5),
             (11 * 13 * 17 * 19 * 23, 3, 1000, 11 * 13 * 17 * 19 * 23),
+            (1, 0, 1, 1),  # n = 1 mod 1: its residue lists start from 1 % 1 = 0
+            (1, 0, 1, 0),  # upto < 1
+            (2**2 * 3**2, 5, 1, -3),
+            (2**2 * 3**4 * 7**2, 9, 21, 10**4),  # 3 and 7 divide the modulus
+            (3**4 * 7**2 * 11**2, 2, 21, 10**6),  # they do, and the class is empty
+            (2**2 * 3**2 * 7**2 * 11**2, -1, 10, 10**6),  # negative residues
+            (2**2 * 3**2 * 7**2 * 11**2, -7, 60, 10**6),
             (12, 1, 0, 12),  # no class mod 0: ValueError, as crt_combine raises
             (12, 1, -5, 12),
         ],
@@ -348,6 +359,65 @@ class TestDivisors:
             d for d in range(1, min(n, upto) + 1) if n % d == 0 and (d - residue) % modulus == 0
         ]
         assert factorize(n).divisors_in_class(residue, modulus, upto) == expected
+
+    # Shaped like the callers' calls: a square with three or more primes
+    # and a modulus up to 2e4, where most classes are empty.  Half the
+    # residues are those of a divisor, so that some classes are not.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        primes=st.lists(st.sampled_from(SMALL_PRIMES), min_size=3, max_size=5, unique=True),
+        data=st.data(),
+    )
+    def test_squares_match_trial_division(self, primes, data):
+        exponents = data.draw(st.lists(st.integers(1, 2), min_size=len(primes), max_size=len(primes)))
+        root = prod(p**e for p, e in zip(primes, exponents))
+        assume(root <= 2 * 10**5)
+        n = root * root
+        # the divisors of n by trial division up to its square root
+        small = [d for d in range(1, root + 1) if n % d == 0]
+        divisors = sorted(set(small + [n // d for d in small]))
+        modulus = data.draw(st.integers(1, 2 * 10**4))
+        if data.draw(st.booleans()):
+            residue = data.draw(st.sampled_from(divisors)) % modulus
+        else:
+            residue = data.draw(st.integers(-modulus, 2 * modulus))
+        upto = data.draw(st.one_of(st.just(n), st.integers(0, n)))
+        expected = [d for d in divisors if d <= upto and (d - residue) % modulus == 0]
+        assert factorize(root).squared().divisors_in_class(residue, modulus, upto) == expected
+
+    def test_check_is_exact_for_the_callers(self, monkeypatch):
+        # ED1 (every gamma to the default bound), ED2 (every delta to the
+        # default bound, all listed as dense) and the oracle ask for
+        # classes closed under d -> n/d whose complement never exceeds
+        # upto, so the residue check finds a member exactly when the
+        # listing returns one.
+        verdicts, listed = [], []
+        meets, in_class = arith._class_meets, Factorization.divisors_in_class
+
+        def meets_spy(*args):
+            verdicts.append(meets(*args))
+            return verdicts[-1]
+
+        def in_class_spy(self, *args):
+            out = in_class(self, *args)
+            listed.append(bool(out))
+            return out
+
+        monkeypatch.setattr(arith, "_class_meets", meets_spy)
+        monkeypatch.setattr(Factorization, "divisors_in_class", in_class_spy)
+        monkeypatch.setattr(ed2, "_SPARSE_MAX", -1)
+        callers = {
+            "ed1": lambda P: ed1.ed1_search(P, ed1.default_gamma_max(P)),
+            "ed2": lambda P: ed2.ed2_search(P, ed2.default_delta_max(P)),
+            "oracle": oracle.enumerate_all_solutions,
+        }
+        for name, search in callers.items():
+            verdicts.clear()
+            listed.clear()
+            for P in (11, 31, 101, 641, 2521, 4201):
+                search(P)
+            assert verdicts == listed, name
+            assert True in listed and False in listed, name
 
 
 def progression_by_factorize(a, m, n):
@@ -527,6 +597,20 @@ class TestFactorize:
         q = 10_000_000_000_000_061
         assert factorize(q).factors == ((q, 1),)
         assert factorize(2 * q).factors == ((2, 1), (q, 1))
+
+    # The trial scan stops once p*p exceeds the product g of the trial
+    # primes still to strip; the one prime left in g is stripped with
+    # its exponent.
+    @pytest.mark.parametrize("n, factors", [
+        (3 * 997**3, ((3, 1), (997, 3))),
+        (991 * 997, ((991, 1), (997, 1))),
+        (997**2, ((997, 2),)),
+        (983 * 991**2 * 997**3, ((983, 1), (991, 2), (997, 3))),
+        (2**7 * 31**2, ((2, 7), (31, 2))),  # g = 62 < 11**2
+        (5**4 * 1009**2, ((5, 4), (1009, 2))),  # g = 5, then a rest past the trial primes
+    ])
+    def test_trial_prime_left_in_the_gcd(self, n, factors):
+        assert factorize(n).factors == factors
 
     def test_prime_power_above_trial_bound(self):
         assert factorize(41**16).factors == ((41, 16),)
