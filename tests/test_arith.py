@@ -606,7 +606,7 @@ class TestFactorize:
         (991 * 997, ((991, 1), (997, 1))),
         (997**2, ((997, 2),)),
         (983 * 991**2 * 997**3, ((983, 1), (991, 2), (997, 3))),
-        (2**7 * 31**2, ((2, 7), (31, 2))),  # g = 62 < 11**2
+        (2**7 * 31**2, ((2, 7), (31, 2))),  # g = 31 once 2 is stripped, below 7**2
         (5**4 * 1009**2, ((5, 4), (1009, 2))),  # g = 5, then a rest past the trial primes
     ])
     def test_trial_prime_left_in_the_gcd(self, n, factors):

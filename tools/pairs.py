@@ -72,12 +72,12 @@ def bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """One run of perfbench/run.py in checkout: its result record."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", f"{seconds:g}"],
         cwd=checkout, capture_output=True, text=True,
     )
     if done.returncode != 0:
-        raise RuntimeError(f"perfbench/run.py exited {done.returncode} in {checkout}:\n"
-                           f"{done.stderr.strip()[-1000:]}")
+        raise SystemExit(f"error: perfbench/run.py exited {done.returncode} in {checkout}:\n"
+                         f"{done.stderr.strip()[-1000:]}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -101,11 +101,7 @@ def main(argv: list[str]) -> int:
         for i in range(opts.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                try:
-                    record = bench(dirs[side], opts.workload, opts.seed, opts.seconds)
-                except RuntimeError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
+                record = bench(dirs[side], opts.workload, opts.seed, opts.seconds)
                 results[side].append(record)
                 values = ", ".join(f"{k} {v['value']:.3f}" for k, v in record["metrics"].items())
                 print(f"pair {i + 1}/{opts.pairs} {side}: {values}, failed {record['failed']}",
