@@ -9,16 +9,22 @@ and d are coprime, so every such x gives integral B and C.
 Since P is prime and does not divide A, every such x is y*P**j with
 y | A^2, and j = 2 would need y <= A/P < 1.  That leaves two lists:
 
-* j = 0, one multiple of P: y <= A^2 < d always, and B >= A needs
-  y >= 5A^2 - 2AP, which some y <= A^2 meets only when A <= P/2.
+* j = 0, one multiple of P: y <= A^2 < d always.  Put e = 5A - 2P.
+  B >= A needs y >= A*e, that is z = A^2/y <= A/e.  P = 5A (mod n) and
+  gcd(A, n) = 1, so y = -d (mod n) exactly when n | 5z + 1, and then
+  5z + 1 >= n.  For e >= 1 the two give 5A - P - 1 <= 5A/e, that is
+  (e - 2)(P + e) <= 0, so e <= 2: A <= (2P + 2)/5.  At e = 1 or 2 the
+  only row has B = A, so distinct rows end at A = 2P/5.
 * j = 1, two multiples of P: gcd(P, n) = 1, so yP = -d (mod n) exactly
-  when y = -A (mod n), with y < A (y <= A when B = C is allowed).  So
-  n | y + A <= 2A, which forces A <= P/3.
+  when y = kn - A for some k >= 1, with y < A (y <= A when B = C is
+  allowed), so kn <= 2A.  gcd(y, A) = gcd(k, A) and y | A^2, so
+  y <= gcd(y, A)^2 <= k^2, that is (5k - 1)A <= kP + k^2.  At k = 1
+  this is A <= (P + 1)/4; for k >= 2, kn <= 2A gives A <= P/4.
 
-So A runs over P/5 < A <= P/2, a quarter less than the range
-P < 5A <= 3P that A <= B <= C alone gives.  Per A the cost is one
+So A runs over P/5 < A <= (2P + 2)/5, half the range P < 5A <= 3P
+that A <= B <= C alone gives.  Per A the cost is one
 factorization of A, at most tau(A^2) divisor products and, when
-A <= P/3, ceil(A/n) candidate steps for j = 1.  Deliberately
+A <= (P + 1)/4, ceil(A/n) candidate steps for j = 1.  Deliberately
 independent of the parametric engines so it can audit them; every
 accepted triple is re-verified in exact arithmetic.
 """
@@ -42,30 +48,34 @@ def enumerate_all_solutions(P: int, distinct_only: bool = True) -> OracleEnumera
 
     With n = 5A - P and d = AP, each solution is a divisor x <= d of d^2
     with x = -d (mod n).  P does not divide A < P, so x = y*P**j with
-    y | A^2 and j <= 1: j = 0 gives one multiple of P and needs
-    A <= P/2 for B >= A; j = 1 gives two and needs y = -A (mod n) with
-    y + A <= 2A, so A <= P/3.  Hence A runs over P/5 < A <= P/2.
+    y | A^2 and j <= 1.  j = 0 gives one multiple of P: B >= A needs
+    y >= A*e with e = 5A - 2P, and y = -d (mod n) means n | 5z + 1 for
+    z = A^2/y; together they force e <= 2, so A <= (2P + 2)/5.  j = 1
+    gives two: y = kn - A <= A with y <= gcd(k, A)^2 <= k^2, which
+    forces A <= (P + 1)/4.  Hence A runs over P/5 < A <= (2P + 2)/5.
     """
     if not is_prime(P):
         raise NotPrime(f"{P} is not prime")
     if P == 5:
         raise ValueError("P = 5 is out of scope (5/P is an integer)")
     sols = []
-    for A in range(P // 5 + 1, P // 2 + 1):
+    two_max = (P + 1) // 4
+    for A in range(P // 5 + 1, (2 * P + 2) // 5 + 1):
         n = 5 * A - P
         d = A * P
         square = A * A
         # j = 0: x = y | A^2, and y <= A^2 < d, so B < C always.
         xs = factorize(A).squared().divisors_in_class(-d, n, square)
         # j = 1: x = yP with y = -A (mod n); y < A exactly when B < C.
-        # The range is empty once n > 2A, that is past A = P/3.
-        two = [
-            y * P
-            for y in range(-A % n or n, A if distinct_only else A + 1, n)
-            if square % y == 0
-        ]
-        if two:
-            xs = sorted(xs + two)
+        # No y divides A^2 past A = (P + 1)/4.
+        if A <= two_max:
+            two = [
+                y * P
+                for y in range(-A % n or n, A if distinct_only else A + 1, n)
+                if square % y == 0
+            ]
+            if two:
+                xs = sorted(xs + two)
         # x ascends, so B ascends too.
         for x in xs:
             B = (x + d) // n

@@ -591,9 +591,10 @@ class TestFactorize:
         for n in squares + prime_powers + semiprimes + sampled:
             assert dict(factorize(n).factors) == sympy.factorint(n), n
 
-    def test_prime_cofactor_after_wheel_primes(self):
-        # q is prime, so the scan stops before its first wheel step; a sqrt
-        # scan of q would take about 3e7 wheel steps
+    def test_prime_cofactor_after_trial_primes(self):
+        # q is prime and past the primes below 1000, so what is left after
+        # they are divided out is q itself; it must come back whole, as
+        # one factor, not be split further
         q = 10_000_000_000_000_061
         assert factorize(q).factors == ((q, 1),)
         assert factorize(2 * q).factors == ((2, 1), (q, 1))

@@ -128,12 +128,56 @@ class TestAgainstRangeScan:
                 continue
             reference = _range_scan_reference(P, distinct_only)
             assert _rows(enumerate_all_solutions(P, distinct_only)) == _rows(reference), P
-            # The reference walks A up to 3P/5; the oracle stops at P/2,
-            # and its list of two multiples of P is empty past P/3.
+            # The reference walks A up to 3P/5; the oracle stops at
+            # (2P + 2)/5 (2P/5 for distinct rows), and its list of two
+            # multiples of P is empty past (P + 1)/4.
             for sol in reference.solutions:
-                assert sol.A <= P // 2, (P, sol)
+                assert 5 * sol.A <= 2 * P + 2, (P, sol)
+                if distinct_only:
+                    assert 5 * sol.A <= 2 * P, (P, sol)
                 if sol.cls is SolutionClass.ED2:
-                    assert sol.A <= P // 3, (P, sol)
+                    assert 4 * sol.A <= P + 1, (P, sol)
+
+    # Each bound is reached, so a walk one row shorter would miss these.
+    @pytest.mark.parametrize("P, e, triple", [
+        (7, 1, (3, 3, 21)),
+        (17, 1, (7, 7, 119)),
+        (37, 1, (15, 15, 555)),
+        (19, 2, (8, 8, 76)),
+        (29, 2, (12, 12, 174)),
+        (59, 2, (24, 24, 708)),
+    ])
+    def test_one_multiple_bound_is_reached(self, P, e, triple):
+        A = triple[0]
+        assert 5 * A - 2 * P == e and A == (2 * P + 2) // 5
+        weak = _rows(enumerate_all_solutions(P, distinct_only=False))
+        assert (triple, SolutionClass.ED1, False) in weak
+        assert weak == _rows(_range_scan_reference(P, distinct_only=False))
+        assert weak[-1][0] == triple
+
+    @pytest.mark.parametrize("P, triple", [
+        (7, (2, 7, 14)),
+        (11, (3, 11, 33)),
+        (19, (5, 19, 95)),
+        (23, (6, 23, 138)),
+    ])
+    def test_two_multiple_bound_is_reached(self, P, triple):
+        assert 4 * triple[0] == P + 1
+        assert (triple, SolutionClass.ED2, True) in _rows(enumerate_all_solutions(P))
+
+    @pytest.mark.parametrize("P", [7, 11, 73, 1021, 5701])
+    def test_factors_each_a_of_the_walk_once(self, P, monkeypatch):
+        import serp.oracle
+
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(serp.oracle, "factorize", counted)
+        enumerate_all_solutions(P)
+        assert calls == list(range(P // 5 + 1, (2 * P + 2) // 5 + 1))
 
     @pytest.mark.parametrize("P", [2521, 3511])
     def test_spot_primes(self, P):
@@ -196,7 +240,7 @@ def test_oracle_matches_the_benchmark_enumeration_up_to_1000(oracle, primes_up_t
 def test_oracle_matches_the_benchmark_enumeration_at_audit_size(P):
     # the same independent check as above, at the size of the audit
     # benchmark's primes; check.py walks A up to 3P/5, past the
-    # oracle's P/2
+    # oracle's (2P + 2)/5
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import check
