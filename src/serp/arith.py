@@ -8,16 +8,17 @@ rest with Brent's rho.  _base_primes alone sizes a sieve: the primes up
 to the square root of its last value, below L = 2**16, and their
 square, below which a value none of them divides is 1 or prime.  Past
 it primes_between asks is_prime, and factorize_progression (from 1024
-values on) asks factorize.  Each sieve takes where a prime first
-divides a + m*j from progression_strides; _sieve_flags, the one sieve
+values on) asks factorize.  Each sieve of a + m*j, j < n, takes from
+progression_strides only the primes that divide one of its n values,
+each with where it first does; _sieve_flags, the one sieve
 of Eratosthenes, flags exactly the primes once its base primes reach
 the square root of the last value.  _radical takes rad(d) from one gcd
 with the product of the primes below 1000, as factorize begins.  All
 are exact up to ~3.3e24 (the last proven witness bound) and raise
 ValueError past it for an undecided input.
 divisors_in_class lists one residue class of divisors by meeting in the
-middle, after _class_meets has found from residues alone that the class
-is not empty.
+middle.  _class_keys computes each right divisor's key once, from
+residues alone, and finds from them first whether the class is empty.
 
 Everything works on plain Python integers (arbitrary precision) plus
 ``fractions.Fraction`` upstream; no floating point anywhere.
@@ -136,11 +137,13 @@ def _divisors_upto(factors, upto: int) -> list[int]:
     return ds
 
 
-def _class_meets(left, right, residue: int, modulus: int) -> bool:
-    """Whether some divisor of the product of both halves' prime powers
-    is = residue (mod modulus): whether a left divisor's residue is the
-    key residue * d**-1 of a right divisor d, whose primes are prime to
-    the modulus.  Residues only, whatever the divisors' size."""
+def _class_keys(left, right, residue: int, modulus: int) -> list[int] | None:
+    """The right half's keys residue * d**-1 (mod modulus), one per right
+    divisor d in the order _divisors_upto builds them, or None when no
+    divisor of the product of both halves' prime powers is = residue
+    (mod modulus): when no left divisor's residue is a key.  The right
+    half's primes are prime to the modulus.  Residues only, whatever
+    the divisors' size."""
     residues = [1 % modulus]
     for p, e in left:
         grown = []
@@ -158,7 +161,7 @@ def _class_meets(left, right, residue: int, modulus: int) -> bool:
                 grown.append(key)
                 key = key * inverse % modulus
         keys = grown
-    return not set(residues).isdisjoint(keys)
+    return None if set(residues).isdisjoint(keys) else keys
 
 
 class Factorization(namedtuple("Factorization", "n factors")):
@@ -180,8 +183,9 @@ class Factorization(namedtuple("Factorization", "n factors")):
         each right divisor d reads only the bucket of residue * d**-1
         (mod modulus).  A prime that divides the modulus goes left,
         where no inverse is needed.  Partial products above upto are
-        dropped while they are built.  An empty class, found from the
-        halves' residues alone by _class_meets, is listed no further.
+        dropped while they are built.  _class_keys computes every right
+        divisor's key once, and finds from the halves' residues alone
+        that a class is empty, which is then listed no further.
         modulus must be >= 1.
         """
         if modulus < 1:
@@ -196,26 +200,14 @@ class Factorization(namedtuple("Factorization", "n factors")):
             else:
                 right.append((p, e))
                 n_right *= e + 1
-        if not _class_meets(left, right, residue, modulus):
+        keys = _class_keys(left, right, residue, modulus)
+        if keys is None:
             return []
         buckets: dict[int, list[int]] = {}
         for d in sorted(_divisors_upto(left, upto)):
             buckets.setdefault(d % modulus, []).append(d)
-        # (d, residue * d**-1 mod modulus) for the right divisors d <= upto
-        keyed = [(1, residue)]
-        for p, e in right:
-            inverse = pow(p, -1, modulus)
-            grown = []
-            for d, key in keyed:
-                for _ in range(e + 1):
-                    if d > upto:
-                        break
-                    grown.append((d, key))
-                    d *= p
-                    key = key * inverse % modulus
-            keyed = grown
         out = []
-        for d, key in keyed:
+        for d, key in zip(_divisors_upto(right, self.n), keys):
             for x in buckets.get(key, ()):  # ascending
                 if x * d > upto:
                     break
@@ -241,7 +233,6 @@ _RHO_BATCH = 64  # differences x - y multiplied mod n between gcds
 _SIEVE_LIMIT = 1 << 16
 _SIEVE_SEGMENT = 512  # values per factorize_progression segment
 _SIEVE_MIN_LENGTH = 1024  # shorter progressions are factored value by value
-_INVERSE_BATCH = 16  # base primes whose product shares one modular inverse
 
 
 def _brent_factor(n: int) -> int:
@@ -383,15 +374,8 @@ def factorize_progression(a: int, m: int, n: int) -> Iterable[Factorization]:
 
 
 def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
-    # A prime whose first index is at or past n strikes nothing: drop it
-    # once, before the first segment.
     base, square = _base_primes(a + m * (n - 1))
-    primes, strides, first = array("I"), array("I"), array("I")
-    for p, stride, j in zip(*progression_strides(a, m, base)):
-        if j < n:
-            primes.append(p)
-            strides.append(stride)
-            first.append(j)
+    primes, strides, first = progression_strides(a, m, base, n)
     for lo in range(0, n, _SIEVE_SEGMENT):
         values = range(a + m * lo, a + m * min(n, lo + _SIEVE_SEGMENT), m)
         rests = list(values)
@@ -436,22 +420,27 @@ def _radical(d: int) -> int:
     return g * prod(p for p, _ in factorize(rest).factors)
 
 
-def progression_strides(a: int, m: int, primes: Sequence[int]) -> tuple[array, array, array]:
-    """The primes that divide some a + m*j (j >= 0), in the order given,
-    with the stride and the first j at which each does: stride p from
-    j = -a * m**-1 (mod p) when p does not divide m, stride 1 from j = 0
-    when p divides a and m.  A prime that divides m but not a divides no
-    value and is dropped.  One inverse modulo the product of
-    _INVERSE_BATCH primes serves them all (CRT)."""
+def progression_strides(
+    a: int, m: int, primes: Sequence[int], n: int
+) -> tuple[array, array, array]:
+    """The primes that divide some a + m*j with 0 <= j < n, in the order
+    given, with the stride and the first j at which each does: stride p
+    from j = -a * m**-1 (mod p) when p does not divide m, stride 1 from
+    j = 0 when p divides a and m.  A prime that divides m but not a
+    divides no value, and one whose first j is n or more divides none of
+    the n: both are dropped."""
     kept, strides, first = array("I"), array("I"), array("Q")
-    for i in range(0, len(primes), _INVERSE_BATCH):
-        batch = primes[i : i + _INVERSE_BATCH]
-        root = -a * pow(m, -1, prod(p for p in batch if m % p))
-        for p in batch:
-            if m % p or a % p == 0:
-                kept.append(p)
-                strides.append(p if m % p else 1)
-                first.append(root % p if m % p else 0)
+    for p in primes:
+        if m % p:
+            stride, j = p, -a * pow(m, -1, p) % p
+        elif a % p:
+            continue
+        else:
+            stride, j = 1, 0
+        if j < n:
+            kept.append(p)
+            strides.append(stride)
+            first.append(j)
     return kept, strides, first
 
 
@@ -463,7 +452,7 @@ def _sieve_flags(
     where the value is 1 or a prime in primes (ascending) divides it,
     the prime itself excepted.  So the flags are exactly the primes when primes
     holds every prime up to the square root of the last value."""
-    kept, strides, starts = progression_strides(a, m, primes)
+    kept, strides, starts = progression_strides(a, m, primes, n)
     # a base prime strikes from its next value; only one >= a can be a value
     for i in range(bisect_left(kept, a), len(kept)):
         if a + m * starts[i] == kept[i]:

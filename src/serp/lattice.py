@@ -55,8 +55,8 @@ def lattice_search_m(
     of the same parity as s1 and gcd(b', c') = 1.  (y = 0 would force
     b' = c', which the strict order of the box excludes.)  A hit is a
     solution (A, bP, cP) with A = (m+P)/5 and two multiples of P, and
-    such a solution has A <= P/3 (see serp.oracle), so useful hits need
-    m <= 2P/3.
+    such a solution has A <= (P + 1)/4 (see serp.oracle), so useful hits
+    need m <= (P + 5)/4.
     """
     if squarefree_split(alpha) != (alpha, 1):
         raise ValueError(f"alpha must be squarefree, got {alpha}")

@@ -392,18 +392,19 @@ class TestDivisors:
         # upto, so the residue check finds a member exactly when the
         # listing returns one.
         verdicts, listed = [], []
-        meets, in_class = arith._class_meets, Factorization.divisors_in_class
+        class_keys, in_class = arith._class_keys, Factorization.divisors_in_class
 
-        def meets_spy(*args):
-            verdicts.append(meets(*args))
-            return verdicts[-1]
+        def keys_spy(*args):
+            keys = class_keys(*args)
+            verdicts.append(keys is not None)
+            return keys
 
         def in_class_spy(self, *args):
             out = in_class(self, *args)
             listed.append(bool(out))
             return out
 
-        monkeypatch.setattr(arith, "_class_meets", meets_spy)
+        monkeypatch.setattr(arith, "_class_keys", keys_spy)
         monkeypatch.setattr(Factorization, "divisors_in_class", in_class_spy)
         monkeypatch.setattr(ed2, "_SPARSE_MAX", -1)
         callers = {
@@ -442,21 +443,23 @@ BASE_PRIMES = list(primes_between(2, 2**16 - 1))
         max_size=40,
         unique=True,
     ),
+    n=st.one_of(st.integers(-1, 20), st.integers(0, 2**16)),
 )
-def test_progression_strides_give_each_primes_first_index(a, m, g, h, primes):
+def test_progression_strides_give_each_primes_first_index(a, m, g, h, primes, n):
     # g makes gcd(a, m) > 1, and h gives m primes that a may lack
     a, m = a * g, m * g * h
-    kept, strides, first = progression_strides(a, m, primes)
+    kept, strides, first = progression_strides(a, m, primes, n)
     assert len(kept) == len(strides) == len(first)
-    assert all(p in primes for p in kept)
+    assert list(kept) == [p for p in primes if p in kept]
     for p, stride, j in zip(kept, strides, first):
         assert stride == (p if m % p else 1)
-        assert j < stride
+        assert j < min(stride, n)
         assert (a + m * j) % p == 0
         assert (a + m * (j + stride)) % p == 0
         assert all((a + m * i) % p for i in range(j))
-    for p in set(primes) - set(kept):  # p divides every difference, not a
-        assert m % p == 0 and a % p != 0
+    for p in set(primes) - set(kept):
+        # p divides every difference but not a, or first divides a + m*j at j >= n
+        assert (m % p == 0 and a % p) or all((a + m * i) % p for i in range(min(n, p)))
 
 
 @settings(max_examples=200, deadline=None)

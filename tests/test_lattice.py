@@ -98,18 +98,21 @@ class TestLatticeSearchM:
                     brute.add((bprime, cprime, m))
             assert set(lattice_search_m(P, alpha, dprime, m_max)) == brute, (P, alpha, dprime)
 
-    def test_hits_stay_below_two_thirds_of_p(self):
-        # a hit is a row with two multiples of P, so A = (m+P)/5 <= P/3
-        found = 0
+    def test_hits_stay_within_a_quarter_of_p(self):
+        # a hit is a row with two multiples of P, so A = (m+P)/5 <= (P+1)/4
+        found, reached = 0, set()
         for P in range(7, 800):
             if not is_prime(P):
                 continue
             for alpha in (1, 2, 3, 5, 6, 7, 10, 11):
                 for dprime in range(1, 6):
                     for _, _, m in lattice_search_m(P, alpha, dprime, 2 * P):
-                        assert 3 * m <= 2 * P, (P, alpha, dprime, m)
+                        assert 4 * m <= P + 5, (P, alpha, dprime, m)
                         found += 1
+                        if 4 * m == P + 5:
+                            reached.add(P)
         assert found
+        assert {7, 11, 19} <= reached  # the bound is sharp
 
     def test_hits_are_the_canonical_ed2_rows(self):
         # The paper's search over every delta = alpha*dprime**2 <= 200
