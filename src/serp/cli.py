@@ -14,11 +14,18 @@ solution's line comes from one fixed-schema f-string in
 _emit_solutions, since a scan writes one per prime.  The stats record
 is written by _emit_streaming with its per-prime n_of_p object in pieces,
 as the sieve formats them, so that object is never held whole.
-Modules load with the subcommand that runs them: numpy with json stats
+Modules load with the subcommand that runs them, and importing this
+module loads only serp.arith, serp.errors and serp.solution.  verify
+loads no engine; decompose and scan load serp.explicit with the first
+closed form, and serp.ed2 and serp.ed1 with the first search (scan
+loads serp.ed2 at its start), each reached as an attribute of the
+package.  serp.sieve loads with sieve and stats, numpy with json stats
 alone (sieve, and csv and table stats, count class rows from a bytearray
 sieve), serp.tables and serp.bridge with table and csv solution rows
-alone.  scan takes the first ED2 steps, delta = 1, 2 and 3, of every
-prime from ed2._SmallDeltas.
+alone.  json loads with the first record dumped as json, which a
+solution's line is not, and csv with csv output alone.  scan takes the
+first ED2 steps, delta = 1, 2 and 3, of every prime from
+ed2._SmallDeltas.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation; 141 (128 +
@@ -28,18 +35,16 @@ SIGPIPE) stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from collections.abc import Iterable
+from functools import cache
 from itertools import chain
 
+import serp
+
 from .arith import MR_DETERMINISTIC_BOUND, is_prime, primes_between
-from .ed1 import default_gamma_max, ed1_reconstruct, ed1_search
-from .ed2 import _SmallDeltas, default_delta_max, ed2_reconstruct, ed2_search
 from .errors import DeltaFilterFailed, InvariantViolation, SerpError, WrongResidue
-from .explicit import decompose_explicit
 from .solution import Solution, SolutionClass, classify_solution, make_solution, verify_solution
 
 # serp.tables (and through it serp.bridge) loads only where a subcommand
@@ -55,15 +60,26 @@ _USAGE_EXIT = 2
 _INVARIANT_EXIT = 3
 
 
+@cache
+def _encoders():
+    """json's compact, key-sorted encode and its plain dumps: json loads
+    with the first record that a command dumps as json."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode, json.dumps
+
+
+def _json(record) -> str:
+    """record as compact, key-sorted json text."""
+    return _encoders()[0](record)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (dict, list)):
-        return json.dumps(value)
+        return _encoders()[1](value)
     return str(value)
-
-
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
@@ -82,6 +98,8 @@ def _emit(records: Iterable[dict], columns, fmt: str, out) -> None:
         return
     rows = ([_cell(r.get(c)) for c in columns] for r in records)
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         first = next(rows, None)  # a record that fails at once leaves no header behind
         writer.writerow(columns)
@@ -103,7 +121,7 @@ def _emit_streaming(record: dict, key: str, members: Iterable[str], out) -> None
     """
     head = _json({k: v for k, v in record.items() if k < key})
     tail = _json({k: v for k, v in record.items() if k > key})
-    out.write(f"{head[:-1]},{json.dumps(key)}:{{")
+    out.write(f"{head[:-1]},{_json(key)}:{{")
     sep = ""
     for piece in members:
         out.write(sep + piece)
@@ -168,16 +186,22 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
 
 def _bounds_for(P: int, args) -> tuple[int, int]:
     """(gamma_max, delta_max) for P: each flag, else P's default."""
-    return (default_gamma_max(P) if args.gamma_max is None else args.gamma_max,
-            default_delta_max(P) if args.delta_max is None else args.delta_max)
+    return (serp.ed1.default_gamma_max(P) if args.gamma_max is None else args.gamma_max,
+            serp.ed2.default_delta_max(P) if args.delta_max is None else args.delta_max)
 
 
-def _decompose(P: int, args, want_all: bool, small: _SmallDeltas | None = None) -> list[Solution]:
+def _decompose(P: int, args, want_all: bool, small: serp.ed2._SmallDeltas | None = None
+               ) -> list[Solution]:
     """P's solutions by args.method, --weak and the bounds: the one rule
     of which primes a method covers.  Before any search it raises
     WrongResidue for a prime out of the method's scope, and it reads the
     bounds only when an engine runs.  A scan's small answers the first
-    ED2 steps, delta = 1, 2 and 3, where it can; the result is the same."""
+    ED2 steps, delta = 1, 2 and 3, where it can; the result is the same.
+
+    The engines are reached as attributes of the package, serp.ed2 and
+    so on: each module loads on its first use and is then a plain
+    attribute, and a function later bound to a module's name (a test's
+    patch, the benchmark's tracer) is the one called."""
     method, residue = args.method, P % 5
     if residue == 0:
         raise WrongResidue(f"P = {P} is out of scope (5 divides P)")
@@ -185,23 +209,23 @@ def _decompose(P: int, args, want_all: bool, small: _SmallDeltas | None = None) 
         raise WrongResidue("P = 2 is out of scope (no three distinct unit fractions sum to 5/2)")
     if method == "explicit" or (method == "auto" and residue != 1):
         # raises WrongResidue when residue is 1
-        return [decompose_explicit(P, distinct=not args.weak)]
+        return [serp.explicit.decompose_explicit(P, distinct=not args.weak)]
     if method == "ed1" and residue != 1:  # an empty gamma range never reaches ed1_search
         raise WrongResidue(f"ED1 search needs P = 1 (mod 5), got P = {P}")
     delta_first = 1  # the first ED2 step left to search
     if small is not None and not want_all and method in ("auto", "ed2"):
         w, delta_first = small.first(P, args.delta_max)
         if w is not None:
-            return [ed2_reconstruct(w)]
+            return [serp.ed2.ed2_reconstruct(w)]
     gamma_max, delta_max = _bounds_for(P, args)
     # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (name, search,
-    # reconstruct, parameter steps).  Built per call, not at module level,
-    # so a wrapper later bound to a search's module name is the one called.
+    # reconstruct, parameter steps), built per call
+    ed1, ed2 = serp.ed1, serp.ed2
     engines = [
         (name, search, reconstruct, steps)
         for name, search, reconstruct, steps in (
-            ("ed2", ed2_search, ed2_reconstruct, range(delta_first, delta_max + 1)),
-            ("ed1", ed1_search, ed1_reconstruct, range(4, gamma_max + 1, 5)),
+            ("ed2", ed2.ed2_search, ed2.ed2_reconstruct, range(delta_first, delta_max + 1)),
+            ("ed1", ed1.ed1_search, ed1.ed1_reconstruct, range(4, gamma_max + 1, 5)),
         )
         if method in ("auto", name)
     ]
@@ -260,7 +284,7 @@ def cmd_scan(args, out) -> int:
             "the end of the deterministic primality range"
         )
     misses = []
-    small = _SmallDeltas(args.to)
+    small = serp.ed2._SmallDeltas(args.to)
 
     def solutions():
         for P in primes_between(getattr(args, "from"), args.to):

@@ -28,17 +28,17 @@ refuse, before sieving or listing a modulus, an (x, R) whose estimated
 working set passes WORKING_SET_BUDGET.  The per-prime counts reach json
 as text pieces in key order (ScanReport.n_of_p_json), never as one
 dict.  numpy and the _kernels sieve are imported only by the functions
-that build per-prime arrays.
+that build per-prime arrays, fractions only where a Fraction is built
+(phi_sum and ScanReport.average) and statistics only by
+fit_growth_constant, so sieve, and csv stats, load neither.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, log
-from statistics import linear_regression
 
 from .arith import _sieve_flags, crt_combine, euler_phi, mod_inverse, primes_between
 from .ed2 import ed2_reconstruct, pair_from_divisor
@@ -96,6 +96,8 @@ class ScanReport(namedtuple("ScanReport", "x R delta prime_count classes primes 
         the classes' prime counts (double counting)."""
         if not self.prime_count:
             return None
+        from fractions import Fraction
+
         return Fraction(sum(c.primes_found for c in self.classes), self.prime_count)
 
     @property
@@ -209,6 +211,8 @@ def phi_sum(R: int, delta: int) -> Fraction:
     in R.  partial holds the (term count, sum) of each finished subtree,
     counts falling, so memory stays logarithmic in the number of terms.
     """
+    from fractions import Fraction
+
     partial: list[tuple[int, Fraction]] = []
     for r in admissible_moduli(R, delta):
         count, total = 1, Fraction(1, euler_phi(5 * r))
@@ -395,6 +399,8 @@ def fit_growth_constant(
     The slope is a measured constant with residuals, never an asserted
     value; callers report it for inspection.
     """
+    from statistics import linear_regression
+
     means = {R: float(m) for R, rep in sorted(reports.items()) if (m := rep.average) is not None}
     if len(means) < 2:
         raise ValueError("need at least two R values with a defined mean")

@@ -926,6 +926,19 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert "Traceback" not in err and "BrokenPipe" not in err
 
 
+def test_closed_given_stream_exits_141_and_leaves_fd_1_alone(monkeypatch):
+    # Only sys.stdout is pointed at os.devnull for the flush at exit; a
+    # stream the caller passed is the caller's to close.
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    dup2_calls = []
+    monkeypatch.setattr(os, "dup2", lambda *args: dup2_calls.append(args))
+    assert cli_mod.main(["scan", "--from", "7", "--to", "100"], out=ClosedPipe()) == 141
+    assert dup2_calls == []
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("argv", ["decompose 11", "scan --from 7 --to 31"])
 def test_invariant_violation_exit_code(monkeypatch, argv, fmt):

@@ -225,6 +225,12 @@ def test_unknown_package_attribute_raises():
         serp.no_such_name
 
 
+def test_package_attribute_that_is_no_identifier_raises():
+    # a name no module can have is refused before any import is tried
+    with pytest.raises(AttributeError, match="no-such-name"):
+        getattr(serp, "no-such-name")
+
+
 def test_missing_dependency_of_a_submodule_is_reraised(monkeypatch):
     # only a missing submodule becomes AttributeError; a dependency that
     # the submodule cannot import keeps its own ModuleNotFoundError
@@ -275,23 +281,67 @@ def _python(script, *args):
     )
 
 
-# The CLI needs neither the paper's lattice search, the oracle nor the
-# sieve until a subcommand imports them.
+# Importing the CLI loads no engine, no sieve and neither json nor csv,
+# and each command loads only what its path runs: serp.explicit with the
+# first closed form, serp.ed2 and serp.ed1 with the first search, json
+# with the first record dumped as json (a solution's line is an
+# f-string), csv with csv output, and fractions and statistics only
+# where serp.sieve builds a Fraction or fits a slope.  Each argv runs in
+# its own process under -S, so no site hook has loaded any of them first;
+# the script prints the WATCHED modules loaded by the import, then the
+# exit code and those loaded after the run.
 CLI_IMPORT_SCRIPT = """
+import io
 import sys
 
 import serp.cli
 
-loaded = [m for m in ("serp.lattice", "serp.oracle", "serp.sieve", "serp._kernels", "numpy")
-          if m in sys.modules]
-if loaded:
-    sys.exit(f"loaded by import serp.cli: {loaded}")
+WATCHED = ("serp.ed1", "serp.ed2", "serp.explicit", "serp.lattice", "serp.oracle", "serp.sieve",
+           "serp._kernels", "numpy", "json", "csv", "fractions", "statistics")
+print(*[m for m in WATCHED if m in sys.modules])
+code = serp.cli.main(sys.argv[1:], out=io.StringIO())
+print(code, *[m for m in WATCHED if m in sys.modules])
 """
 
 
+# Each command, and what it loads of WATCHED.
+COMMAND_LOADS = {
+    "verify 11 3 9 99": "json",
+    "decompose 13": "serp.explicit",
+    "decompose 11 --all": "serp.ed1 serp.ed2",
+    "scan --from 7 --to 100": "serp.ed2 serp.explicit",
+    "sieve --delta 1 --rmax 64 --xmax 1000 --format csv": "serp.ed2 serp.sieve csv",
+    "stats --x 1000 --rmax 16 --delta 1 --format csv": "serp.ed2 serp.sieve csv",
+    "table 2521 --check --format json": "serp.ed2 json",
+}
+
+
 def test_cli_import_loads_only_what_it_uses():
-    proc = _python(CLI_IMPORT_SCRIPT)
-    assert proc.returncode == 0, proc.stderr
+    seen = {}
+    for argv in COMMAND_LOADS:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", CLI_IMPORT_SCRIPT, *argv.split()],
+            env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        seen[argv] = proc.stdout.splitlines()
+    assert seen == {argv: ["", f"0 {loaded}"] for argv, loaded in COMMAND_LOADS.items()}
+
+
+def test_per_prime_paths_run_no_import_statement():
+    # An import statement in a function runs on every call, at about a
+    # microsecond even when its module is loaded: tens of milliseconds
+    # over a scan's ~15k primes.  _decompose and cmd_scan's generator
+    # run once per prime.
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = [f"{name}:{node.lineno}" for name in ("_decompose", "cmd_scan")
+             for node in ast.walk(functions[name]) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
 
 
 # Records are named tuples from collections, which argparse loads anyway:
