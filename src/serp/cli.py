@@ -190,8 +190,8 @@ def _bounds_for(P: int, args) -> tuple[int, int]:
             serp.ed2.default_delta_max(P) if args.delta_max is None else args.delta_max)
 
 
-def _decompose(P: int, args, want_all: bool, small: serp.ed2._SmallDeltas | None = None
-               ) -> list[Solution]:
+def _decompose(P: int, args, want_all: bool,
+               small: serp.ed2._SmallDeltas | None = None) -> list[Solution]:
     """P's solutions by args.method, --weak and the bounds: the one rule
     of which primes a method covers.  Before any search it raises
     WrongResidue for a prime out of the method's scope, and it reads the
@@ -219,7 +219,7 @@ def _decompose(P: int, args, want_all: bool, small: serp.ed2._SmallDeltas | None
             return [serp.ed2.ed2_reconstruct(w)]
     gamma_max, delta_max = _bounds_for(P, args)
     # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (name, search,
-    # reconstruct, parameter steps), built per call
+    # reconstruct, parameter steps)
     ed1, ed2 = serp.ed1, serp.ed2
     engines = [
         (name, search, reconstruct, steps)
