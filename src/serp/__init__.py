@@ -8,9 +8,10 @@ public name or a submodule is served on first use (PEP 562), so
 the modules it uses (numpy only when a serp.sieve function builds
 per-prime arrays, as json stats does).  Each serp command keeps this:
 verify loads no engine; decompose and scan load serp.explicit with the
-first closed form and serp.ed2 and serp.ed1 with the first search (scan
-loads serp.ed2 at its start); sieve and stats load serp.sieve, and with
-it serp.ed2; table loads serp.tables and serp.bridge.  json, csv,
+first closed form, serp.ed2 with the first search (scan loads it at its
+start) and serp.ed1 only once a search has spent ED2's steps; sieve
+and stats load serp.sieve, and sieve serp.ed2 with its first class row
+that has a prime; table loads serp.tables and serp.bridge.  json, csv,
 fractions and statistics load only where a record is dumped as json,
 csv is written, a Fraction is built or a slope is fitted (see
 serp.cli).

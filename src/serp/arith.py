@@ -216,9 +216,9 @@ class Factorization(namedtuple("Factorization", "n factors")):
 
     def squared(self) -> "Factorization":
         """Factorization of n**2 without refactoring."""
-        return Factorization(
+        return tuple.__new__(Factorization, (
             self.n * self.n, tuple((p, 2 * e) for p, e in self.factors)
-        )
+        ))
 
 
 # factorize divides out every prime below _TRIAL_LIMIT before any
@@ -312,7 +312,7 @@ def factorize(n: int) -> Factorization:
         else:
             d = _brent_factor(m)
             parts += (d, m // d)
-    return Factorization(n, tuple(sorted(counts.items())))
+    return tuple.__new__(Factorization, (n, tuple(sorted(counts.items()))))
 
 
 def primes_between(lo: int, hi: int) -> Iterator[int]:
@@ -400,7 +400,7 @@ def _sieve_progression(a: int, m: int, n: int) -> Iterator[Factorization]:
                 factors += factorize(rest).factors
             elif rest > 1:
                 factors.append((rest, 1))
-            yield Factorization(value, tuple(factors))
+            yield tuple.__new__(Factorization, (value, tuple(factors)))
 
 
 def _radical(d: int) -> int:

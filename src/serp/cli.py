@@ -17,15 +17,16 @@ as the sieve formats them, so that object is never held whole.
 Modules load with the subcommand that runs them, and importing this
 module loads only serp.arith, serp.errors and serp.solution.  verify
 loads no engine; decompose and scan load serp.explicit with the first
-closed form, and serp.ed2 and serp.ed1 with the first search (scan
-loads serp.ed2 at its start), each reached as an attribute of the
-package.  serp.sieve loads with sieve and stats, numpy with json stats
-alone (sieve, and csv and table stats, count class rows from a bytearray
-sieve), serp.tables and serp.bridge with table and csv solution rows
-alone.  json loads with the first record dumped as json, which a
-solution's line is not, and csv with csv output alone.  scan takes the
-first ED2 steps, delta = 1, 2 and 3, of every prime from
-ed2._SmallDeltas.
+closed form, serp.ed2 with the first search (scan loads it at its
+start) and serp.ed1 only once a search has spent ED2's steps, each
+reached as an attribute of the package.  serp.sieve loads with sieve
+and stats, serp.ed2 with sieve's first class row that has a prime,
+numpy with json stats alone (sieve, and csv and table stats, count
+class rows from a bytearray sieve), serp.tables and serp.bridge with
+table and csv solution rows alone.  json loads with the first record
+dumped as json, which a solution's line is not, and csv with csv output
+alone.  scan takes the first ED2 steps, delta = 1, 2 and 3, of every
+prime from ed2._SmallDeltas.
 
 Exit codes: 0 success; 1 no solution found within bounds (or a failed
 verify); 2 usage error; 3 internal invariant violation; 141 (128 +
@@ -37,7 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cache
 from itertools import chain
 
@@ -184,10 +185,21 @@ def _emit_solutions(solutions: Iterable[Solution], fmt: str, out) -> None:
         _emit((s.as_dict() for s in checked()), SOLUTION_COLUMNS, fmt, out)
 
 
-def _bounds_for(P: int, args) -> tuple[int, int]:
-    """(gamma_max, delta_max) for P: each flag, else P's default."""
-    return (serp.ed1.default_gamma_max(P) if args.gamma_max is None else args.gamma_max,
-            serp.ed2.default_delta_max(P) if args.delta_max is None else args.delta_max)
+def _engines(P: int, args, delta_first: int = 1) -> Iterator[tuple]:
+    """Each engine args.method runs for P, in search order, as (parameter,
+    search, reconstruct, parameter steps): ED2 over delta from
+    delta_first, then ED1 over gamma = 4 (mod 5), each up to its flag,
+    else P's default.  A generator, so an engine's module loads and its
+    bound is read only when its turn comes: a first-hit search touches
+    serp.ed1 only once ED2's steps are spent."""
+    if args.method in ("auto", "ed2"):
+        ed2 = serp.ed2
+        delta_max = ed2.default_delta_max(P) if args.delta_max is None else args.delta_max
+        yield "delta", ed2.ed2_search, ed2.ed2_reconstruct, range(delta_first, delta_max + 1)
+    if args.method in ("auto", "ed1"):
+        ed1 = serp.ed1
+        gamma_max = ed1.default_gamma_max(P) if args.gamma_max is None else args.gamma_max
+        yield "gamma", ed1.ed1_search, ed1.ed1_reconstruct, range(4, gamma_max + 1, 5)
 
 
 def _decompose(P: int, args, want_all: bool,
@@ -217,23 +229,11 @@ def _decompose(P: int, args, want_all: bool,
         w, delta_first = small.first(P, args.delta_max)
         if w is not None:
             return [serp.ed2.ed2_reconstruct(w)]
-    gamma_max, delta_max = _bounds_for(P, args)
-    # ED2 over delta, then ED1 over gamma = 4 (mod 5), as (name, search,
-    # reconstruct, parameter steps)
-    ed1, ed2 = serp.ed1, serp.ed2
-    engines = [
-        (name, search, reconstruct, steps)
-        for name, search, reconstruct, steps in (
-            ("ed2", ed2.ed2_search, ed2.ed2_reconstruct, range(delta_first, delta_max + 1)),
-            ("ed1", ed1.ed1_search, ed1.ed1_reconstruct, range(4, gamma_max + 1, 5)),
-        )
-        if method in ("auto", name)
-    ]
     if want_all:
-        found = {reconstruct(w) for _, search, reconstruct, steps in engines
+        found = {reconstruct(w) for _, search, reconstruct, steps in _engines(P, args)
                  for w in search(P, steps.stop - 1)}
         return sorted(found, key=Solution.sort_key)
-    for _, search, reconstruct, steps in engines:
+    for _, search, reconstruct, steps in _engines(P, args, delta_first):
         for t in steps:  # raise the parameter until the first hit
             found = search(P, t, t)
             if found:
@@ -247,9 +247,8 @@ def cmd_decompose(args, out) -> int:
         raise SerpError(f"P = {P} is not prime; decompose needs a prime")
     solutions = _decompose(P, args, args.all)
     if not solutions:
-        gamma_max, delta_max = _bounds_for(P, args)
-        engines = (("ed1", "gamma", gamma_max), ("ed2", "delta", delta_max))
-        ran = [(name, bound) for method, name, bound in engines if args.method in ("auto", method)]
+        # gamma first, then delta; each bound is its steps' stop - 1
+        ran = [(name, steps.stop - 1) for name, _, _, steps in _engines(P, args)][::-1]
         within = ", ".join(f"{name} <= {bound}" for name, bound in ran)
         flags = "/".join(f"--{name}-max" for name, _ in ran)
         print(f"no solution for P = {P} within {within}; raise {flags}", file=sys.stderr)

@@ -137,7 +137,7 @@ def pair_from_divisor(P: int, delta: int, r: int) -> Ed2Witness | None:
     b, c = (r + 1) // 5, (s + 1) // 5
     if b == c or (b * c) % delta:
         return None
-    return Ed2Witness(P, delta, b, c, r, s, b * c // delta)
+    return tuple.__new__(Ed2Witness, (P, delta, b, c, r, s, b * c // delta))
 
 
 def _small_delta_table(lo: int, n: int, caps: list[int]) -> array:
@@ -231,7 +231,7 @@ def ed2_reconstruct(w: Ed2Witness) -> Solution:
         raise KernelViolation(f"r*s != 5*P*delta + 1 for {w}")
     if (w.b * w.c) % w.delta or w.b * w.c // w.delta != w.A:
         raise KernelViolation(f"A != b*c/delta for {w}")
-    return make_solution(w.P, w.A, w.B, w.C, SolutionClass.ED2)
+    return make_solution(w.P, w.A, w.b * w.P, w.c * w.P, SolutionClass.ED2)
 
 
 def ed2_normalize(w: Ed2Witness) -> NormalizedEd2:

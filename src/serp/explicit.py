@@ -42,21 +42,19 @@ def decompose_explicit(P: int, distinct: bool = False) -> Solution:
         raise WrongResidue(f"no closed form for P = {residue} (mod 5)")
     pprime = P // 5
     a = pprime + 1
+    cls = SolutionClass.EXPLICIT
     if residue == 2:
         # P' is odd for every odd prime P = 2 (mod 5); only P = 2 trips this.
         if pprime % 2 == 0:
             raise ParityViolation(f"P' = {pprime} is even for P = {P}")
-        triple = (a, (a // 2) * P, a * P)
-    else:
-        n = 2 * a * P if residue == 4 else a * P
-        if not distinct:
-            triple = (a, n, n)
-        elif n % 2:
-            triple = (a, (n + 1) // 2, n * (n + 1) // 2)
-        else:
-            m = n // 2
-            triple = (a, m + 1, m * (m + 1))
-    return make_solution(P, *triple, SolutionClass.EXPLICIT)
+        return make_solution(P, a, (a // 2) * P, a * P, cls)
+    n = 2 * a * P if residue == 4 else a * P
+    if not distinct:
+        return make_solution(P, a, n, n, cls)
+    if n % 2:
+        return make_solution(P, a, (n + 1) // 2, n * (n + 1) // 2, cls)
+    m = n // 2
+    return make_solution(P, a, m + 1, m * (m + 1), cls)
 
 
 def repair_distinct(sol: Solution) -> Solution:

@@ -41,7 +41,6 @@ from functools import lru_cache
 from math import gcd, isqrt, log
 
 from .arith import _sieve_flags, crt_combine, euler_phi, mod_inverse, primes_between
-from .ed2 import ed2_reconstruct, pair_from_divisor
 from .errors import BadResidue, DeltaFilterFailed, InvariantViolation, NotCoprime, SerpError
 from .solution import Solution
 
@@ -226,8 +225,11 @@ def reconstruct_from_class(P: int, delta: int, r: int) -> Solution:
     """Solution for a prime P lying in the (delta, r) progression class.
 
     r divides 5*P*delta + 1 by the class congruences; fails only when
-    delta does not divide b*c (impossible for delta = 1).
+    delta does not divide b*c (impossible for delta = 1).  serp.ed2
+    loads here, on the first call: stats never makes one.
     """
+    from .ed2 import ed2_reconstruct, pair_from_divisor
+
     cls = build_progression_class(delta, r)
     if P % cls.modulus != cls.residue:
         raise ValueError(

@@ -3,6 +3,12 @@ verification and multiplicity classification.
 
 Every serp record is an immutable named tuple: it unpacks and indexes
 like a tuple, compares and hashes on its fields, and holds no __dict__.
+The records built once per prime or per factored value, Solution in
+make_solution, Ed2Witness in ed2.pair_from_divisor and Factorization in
+arith.factorize, arith._sieve_progression and Factorization.squared,
+are built as tuple.__new__(Cls, fields): the same record without the
+named tuple's generated __new__, a Python frame that checks nothing.
+verify_solution takes five big-integer products.
 """
 
 from __future__ import annotations
@@ -48,11 +54,13 @@ def verify_solution(P: int, A: int, B: int, C: int) -> bool:
     """Exact check of 1/A + 1/B + 1/C = 5/P; False for any non-solution.
 
     With every value positive the equation is P*(AB + AC + BC) = 5*ABC,
-    so the check stays in integers.
+    so the check stays in integers; written P*(AB + (A + B)*C) = 5*AB*C
+    with AB formed once, it takes five products instead of seven.
     """
     if P < 1 or A < 1 or B < 1 or C < 1:
         return False
-    return P * (A * B + A * C + B * C) == 5 * A * B * C
+    AB = A * B
+    return P * (AB + (A + B) * C) == 5 * AB * C
 
 
 def make_solution(P: int, A: int, B: int, C: int, cls: SolutionClass) -> Solution:
@@ -61,7 +69,7 @@ def make_solution(P: int, A: int, B: int, C: int, cls: SolutionClass) -> Solutio
         A, B, C = sorted((A, B, C))
     if not verify_solution(P, A, B, C):
         raise InvalidSolution(f"1/{A} + 1/{B} + 1/{C} != 5/{P}")
-    return Solution(P, A, B, C, cls, A < B < C)  # positional: namedtuple's keyword path is slower
+    return tuple.__new__(Solution, (P, A, B, C, cls, A < B < C))
 
 
 # How many of the denominators P divides, and where: positions is a

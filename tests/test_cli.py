@@ -484,13 +484,13 @@ class TestScan:
         ed2_primes = [P for P in primes_between(lo, hi) if P % 5 == 1]
         assert ed2_primes and [P for P in ed2_primes if table.first(P, None)[0] is None] == searched
         calls = []
-        bounds_for = cli_mod._bounds_for
+        engines = cli_mod._engines
 
-        def spy(P, args):
+        def spy(P, args, *rest):
             calls.append(P)
-            return bounds_for(P, args)
+            return engines(P, args, *rest)
 
-        monkeypatch.setattr(cli_mod, "_bounds_for", spy)
+        monkeypatch.setattr(cli_mod, "_engines", spy)
         code, out = run_cli("scan", "--from", str(lo), "--to", str(hi), "--format", "json")
         assert code == 0
         assert [r["P"] for r in json_lines(out)] == list(primes_between(lo, hi))

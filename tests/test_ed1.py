@@ -136,3 +136,15 @@ def test_completeness_against_oracle_small(oracle, primes_up_to):
                 expected.add(sol.triple())
         got = {ed1_reconstruct(w).triple() for w in ed1_search(P, max(gamma_needed, 9 * P))}
         assert got == expected, P
+
+
+# 5*ceil(log(P)**3): log 11 = 2.398 gives 13.79, log 101 = 4.615 gives
+# 98.3 and log 1009901 = 13.825 gives 2642.4.  Only these pins see a
+# change of the factor 5 or of the ceiling outside tests/test_cli.py's
+# output digests.
+@pytest.mark.parametrize("P, gamma_max", [
+    (2, 5), (3, 10), (7, 40), (11, 70), (31, 205), (101, 495),
+    (1009901, 13215), (1000000021, 44500),
+])
+def test_default_gamma_max_is_pinned(P, gamma_max):
+    assert ed1.default_gamma_max(P) == gamma_max

@@ -392,3 +392,13 @@ def test_completeness_against_oracle_small(oracle, primes_up_to):
                 expected.add(sol.triple())
         got = {ed2_reconstruct(w).triple() for w in ed2_search(P, delta_needed)}
         assert got == expected, P
+
+
+# ceil(log(P)**3): log 11 = 2.398 gives 13.79, log 101 = 4.615 gives 98.3
+# and log 1009901 = 13.825 gives 2642.4.
+@pytest.mark.parametrize("P, delta_max", [
+    (2, 1), (3, 2), (7, 8), (11, 14), (31, 41), (101, 99),
+    (1009901, 2643), (1000000021, 8900),
+])
+def test_default_delta_max_is_pinned(P, delta_max):
+    assert default_delta_max(P) == delta_max

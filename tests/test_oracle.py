@@ -177,6 +177,25 @@ class TestAgainstRangeScan:
         enumerate_all_solutions(P)
         assert calls == list(range(P // 5 + 1, (2 * P + 2) // 5 + 1))
 
+    @pytest.mark.parametrize("distinct_only", [True, False])
+    @pytest.mark.parametrize("P", [7, 11, 73, 1021, 5701])
+    def test_two_multiple_walk_stops_at_a_quarter(self, P, distinct_only, monkeypatch):
+        # The j = 1 list steps y = -A (mod n) up to A, and no y divides A**2
+        # past A = (P + 1)/4, so no walk starts there.  Output cannot show
+        # this, since a walk past that point finds nothing; the walks can.
+        import serp.oracle
+
+        walked = []
+
+        def counted(*args):
+            if len(args) == 3:  # range(first, A or A + 1, n), the y walk
+                walked.append(args[1] - (not distinct_only))
+            return range(*args)
+
+        monkeypatch.setattr(serp.oracle, "range", counted, raising=False)
+        enumerate_all_solutions(P, distinct_only)
+        assert walked == list(range(P // 5 + 1, (P + 1) // 4 + 1))
+
     @pytest.mark.parametrize("P", [2521, 3511])
     def test_spot_primes(self, P):
         assert _rows(enumerate_all_solutions(P)) == _rows(_range_scan_reference(P))

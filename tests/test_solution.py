@@ -79,6 +79,24 @@ class TestVerifyAgainstFractions:
     def test_arbitrary_quadruples(self, q):
         assert verify_solution(*q) == fraction_verify(*q)
 
+    # verify_solution forms A*B once and tests P*(AB + (A + B)*C) = 5*AB*C.
+    # Solutions scaled past 2**64, signed ones, and either kind with up to
+    # two entries replaced by 0, a small or negative value, or one past
+    # 2**64 of either sign.
+    @settings(max_examples=500)
+    @given(
+        scaled_solutions(SEEDS + SIGNED_SEEDS),
+        st.lists(st.tuples(st.integers(0, 3), st.one_of(
+            st.integers(-3, 3),
+            st.integers(-(2**80), 2**80),
+            st.sampled_from((2**64, 2**64 + 1, -(2**64))),
+        )), max_size=2),
+    )
+    def test_five_product_identity_agrees_with_fractions(self, q, replacements):
+        for i, value in replacements:
+            q[i] = value
+        assert verify_solution(*q) == fraction_verify(*q)
+
 
 class TestMakeSolution:
     def test_sorts_and_flags(self):

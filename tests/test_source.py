@@ -283,8 +283,9 @@ def _python(script, *args):
 
 # Importing the CLI loads no engine, no sieve and neither json nor csv,
 # and each command loads only what its path runs: serp.explicit with the
-# first closed form, serp.ed2 and serp.ed1 with the first search, json
-# with the first record dumped as json (a solution's line is an
+# first closed form, serp.ed2 with the first search and serp.ed1 only
+# once ED2's steps are spent, serp.ed2 with sieve's first solution row
+# (stats never loads it), json with the first record dumped as json (a solution's line is an
 # f-string), csv with csv output, and fractions and statistics only
 # where serp.sieve builds a Fraction or fits a slope.  Each argv runs in
 # its own process under -S, so no site hook has loaded any of them first;
@@ -310,8 +311,10 @@ COMMAND_LOADS = {
     "decompose 13": "serp.explicit",
     "decompose 11 --all": "serp.ed1 serp.ed2",
     "scan --from 7 --to 100": "serp.ed2 serp.explicit",
+    # 101 is the first prime the window table misses; ED2 finds its hit
+    "scan --from 7 --to 101": "serp.ed2 serp.explicit",
     "sieve --delta 1 --rmax 64 --xmax 1000 --format csv": "serp.ed2 serp.sieve csv",
-    "stats --x 1000 --rmax 16 --delta 1 --format csv": "serp.ed2 serp.sieve csv",
+    "stats --x 1000 --rmax 16 --delta 1 --format csv": "serp.sieve csv",
     "table 2521 --check --format json": "serp.ed2 json",
 }
 
