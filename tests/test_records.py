@@ -153,7 +153,6 @@ def test_tuple_new_builders_equal_keyword_construction(builder):
     assert built == expected
     for record, keyword in zip(built, expected, strict=True):
         assert type(record) is type(keyword)
-        assert isinstance(record, type(keyword))
         assert record._fields == keyword._fields
         assert [getattr(record, f) for f in record._fields] == list(keyword)
         assert repr(record) == repr(keyword)

@@ -285,9 +285,9 @@ def _python(script, *args):
 # and each command loads only what its path runs: serp.explicit with the
 # first closed form, serp.ed2 with the first search and serp.ed1 only
 # once ED2's steps are spent, serp.ed2 with sieve's first solution row
-# (stats never loads it), json with the first record dumped as json (a solution's line is an
-# f-string), csv with csv output, and fractions and statistics only
-# where serp.sieve builds a Fraction or fits a slope.  Each argv runs in
+# (stats never loads it), json with the first record dumped as json (a
+# solution's line is an f-string), csv with csv output, and fractions
+# and statistics only where serp.sieve builds a Fraction or fits a slope.  Each argv runs in
 # its own process under -S, so no site hook has loaded any of them first;
 # the script prints the WATCHED modules loaded by the import, then the
 # exit code and those loaded after the run.
